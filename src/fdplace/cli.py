@@ -60,17 +60,6 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
-def _check_threads(args: argparse.Namespace) -> None:
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise ModelError(f"--threads must be at least 1, got {threads}")
-    if threads > 1:
-        print(
-            f"note: --threads {threads} accepted; this build runs single-threaded",
-            file=sys.stderr,
-        )
-
-
 def _emit(report: dict) -> None:
     print(json.dumps(report))
 
@@ -94,7 +83,6 @@ def _report(
 
 
 def _cmd_solve_single(args: argparse.Namespace) -> int:
-    _check_threads(args)
     model, digest = _load_model(args.model)
     solvers = {"basic": solve_basic, "fast": solve_fast, "greedy": solve_greedy}
     started = time.perf_counter()
@@ -113,7 +101,6 @@ def _cmd_solve_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_multi(args: argparse.Namespace) -> int:
-    _check_threads(args)
     model, digest = _load_model(args.model)
     sizes = _parse_sizes(args.sizes)
     started = time.perf_counter()
@@ -138,6 +125,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.placement is not None:
         placement = parse_placement(_read_text(args.placement))
+        if args.rho is not None and args.rho > len(model.leaves):
+            raise ModelError(
+                f"rho={args.rho} exceeds the {len(model.leaves)} leaves of the model"
+            )
         rho = args.rho if args.rho is not None else len(placement.leaves)
         agg = failure_aggregate(model, placement, rho)
         witness = {"leaves": sorted(placement.leaves)}
@@ -240,14 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--algorithm", choices=["basic", "fast", "greedy"], default="fast")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_solve_single)
 
     p = sub.add_parser("solve-multi", help="place several blocks at once")
     p.add_argument("model")
     p.add_argument("--sizes", required=True, help="comma-separated block sizes")
     p.add_argument("--skew", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_solve_multi)
 
     p = sub.add_parser("eval", help="score a given placement")

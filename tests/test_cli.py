@@ -134,6 +134,14 @@ def test_eval_argument_combinations(capsys):
         "3",
     )
     assert code == 2 and "--rho" in err
+    spread = fixture_path("two_rows_spread.json")
+    code, out, err = run_cli(
+        capsys, "eval", model, "--placement", spread, "--rho", "99999999999999"
+    )
+    assert code == 2 and out == ""
+    assert "exceeds the 9 leaves" in err
+    report = run_json(capsys, "eval", model, "--placement", spread, "--rho", "9")
+    assert len(report["objective"]) == 10
 
 
 def test_check_reports_balance(capsys):
@@ -185,6 +193,10 @@ def test_infeasible_requests_exit_3(capsys):
     assert code == 3 and "error:" in err
     code, _out, _err = run_cli(capsys, "solve-multi", model, "--sizes", "10")
     assert code == 3
+    # Refused by the leaf count before any census of that length exists.
+    code, out, err = run_cli(capsys, "solve-multi", model, "--sizes", "3,99999999999999")
+    assert code == 3 and out == ""
+    assert "exceeds the 9 available leaves" in err
     code, _out, _err = run_cli(capsys, "oracle-single", model, "--rho", "0")
     assert code == 3
 
@@ -249,17 +261,13 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 2
 
 
-def test_threads_flag(capsys):
+def test_threads_flag_is_refused(capsys):
     model = fixture_path("two_rows.json")
-    code, _out, err = run_cli(
-        capsys, "solve-single", model, "--rho", "3", "--threads", "2"
-    )
-    assert code == 0
-    assert "single-threaded" in err
-    code, _out, _err = run_cli(
-        capsys, "solve-single", model, "--rho", "3", "--threads", "0"
-    )
-    assert code == 2
+    for command, request in (("solve-single", "--rho"), ("solve-multi", "--sizes")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, model, request, "3", "--threads", "2"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_module_entry_point_subprocess():
