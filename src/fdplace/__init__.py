@@ -1,4 +1,9 @@
-"""Lexicographically optimal replica placement on failure-domain trees."""
+"""Lexicographically optimal replica placement on failure-domain trees.
+
+The package root exposes solving, evaluation and parsing. Internals
+such as the labeling and selection helpers, the plan nodes, the merge
+kernel and the lemma helpers stay importable from their own modules.
+"""
 
 from __future__ import annotations
 
@@ -8,107 +13,39 @@ from .metrics import (
     FailureAggregate,
     MultiPlacement,
     Placement,
-    Signature,
     failure_aggregate,
-    failure_number,
-    failure_numbers,
-    index_extent,
-    lex_cmp,
     multi_aggregate,
     parse_multi_placement,
     parse_placement,
-    path_aggregate,
-    shift,
-    sig_stats,
-    signature_of_sizes,
-    sub_signature,
 )
-from .model import (
-    FailureModel,
-    Node,
-    SubtreeStats,
-    parse_model,
-    render_model,
-    subtree_stats,
-)
-from .multi import (
-    PhiTable,
-    band_cell_count,
-    build_phi,
-    enum_weak_compositions,
-    solve_multi,
-    target_signature,
-)
-from .oracle import (
-    BalanceViolation,
-    check_balanced,
-    oracle_multi,
-    oracle_single,
-)
-from .single import (
-    ChildValuePair,
-    LabelResult,
-    Plan,
-    PlanNode,
-    contract_chains,
-    label_children,
-    nth_smallest,
-    select_heavy,
-    solve_basic,
-    solve_fast,
-    solve_greedy,
-)
+from .model import FailureModel, parse_model, render_model
+from .multi import solve_multi
+from .oracle import check_balanced, oracle_multi, oracle_single
+from .single import solve_basic, solve_fast, solve_greedy
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceViolation",
-    "ChildValuePair",
     "FailureAggregate",
     "FailureModel",
     "GuardLimitError",
     "InfeasibleError",
-    "LabelResult",
     "ModelError",
     "MultiPlacement",
-    "Node",
-    "PhiTable",
     "Placement",
-    "Plan",
-    "PlanNode",
-    "Signature",
     "SkewOverrideError",
-    "SubtreeStats",
-    "band_cell_count",
-    "build_phi",
     "check_balanced",
-    "contract_chains",
-    "enum_weak_compositions",
     "failure_aggregate",
-    "failure_number",
-    "failure_numbers",
-    "index_extent",
-    "label_children",
-    "lex_cmp",
     "multi_aggregate",
-    "nth_smallest",
     "oracle_multi",
     "oracle_single",
     "parse_model",
     "parse_multi_placement",
     "parse_placement",
-    "path_aggregate",
     "random_model",
     "render_model",
-    "select_heavy",
-    "shift",
-    "sig_stats",
-    "signature_of_sizes",
     "solve_basic",
     "solve_fast",
     "solve_greedy",
     "solve_multi",
-    "sub_signature",
-    "subtree_stats",
-    "target_signature",
 ]

@@ -2,8 +2,8 @@
 
 All results go to stdout as a single JSON object; diagnostics go to
 stderr. Exit codes: 0 success, 2 parse or validation problems, 3
-infeasible requests (including oracle guard refusals), 4 a skew
-override below the natural bound.
+infeasible requests (including oracle guard refusals) and requests
+that run out of memory, 4 a skew override below the natural bound.
 """
 
 from __future__ import annotations
@@ -289,6 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, GuardLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        pass
+    # Reported after the handler, once the traceback no longer keeps the
+    # failed request's data alive.
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

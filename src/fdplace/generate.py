@@ -45,7 +45,12 @@ def random_model(
             prev = cut
         return sizes
 
-    def build(count: int, parent: str | None) -> None:
+    # Depth first with an explicit stack, children in order. Without
+    # recursion, running out of memory raises MemoryError; a frame that
+    # cannot be allocated raises SystemError on some Python versions.
+    stack: list[tuple[int, str | None]] = [(p, None) for p in reversed(split(leaves, roots))]
+    while stack:
+        count, parent = stack.pop()
         while rng.random() < 0.15:
             counts["domain"] += 1
             name = f"d{counts['domain']}"
@@ -57,14 +62,11 @@ def random_model(
             entries.append(
                 {"id": name, "parent": parent, "capacity": rng.randint(1, max_capacity)}
             )
-            return
+            continue
         counts["domain"] += 1
         name = f"d{counts['domain']}"
         entries.append({"id": name, "parent": parent})
         fanout = rng.randint(2, min(max_fanout, count))
-        for part in split(count, fanout):
-            build(part, name)
-
-    for part in split(leaves, roots):
-        build(part, None)
+        for part in reversed(split(count, fanout)):
+            stack.append((part, name))
     return parse_model(json.dumps({"nodes": entries}))

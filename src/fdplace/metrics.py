@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .model import FailureModel, postorder
+from .model import FailureModel, ancestors, postorder
 
 
 @dataclass(frozen=True)
@@ -128,26 +128,17 @@ def failure_number(model: FailureModel, node_id: str, placement: Placement) -> i
     if node_id not in model.nodes:
         raise ModelError(f"unknown node {node_id!r}")
     _check_leaves(model, placement.leaves)
-    count = 0
-    for leaf in placement.leaves:
-        cursor: str | None = leaf
-        while cursor is not None:
-            if cursor == node_id:
-                count += 1
-                break
-            cursor = model.parent(cursor)
-    return count
+    return sum(node_id in ancestors(model, leaf) for leaf in placement.leaves)
 
 
 def failure_numbers(model: FailureModel, placement: Placement) -> dict[str, int]:
-    """Failure number of every node in one bottom-up pass."""
+    """Failure number of every node: each placed leaf counts once on
+    every node from itself up to its root."""
     _check_leaves(model, placement.leaves)
-    fn = {node_id: 0 for node_id in model.nodes}
+    fn = dict.fromkeys(model.nodes, 0)
     for leaf in placement.leaves:
-        fn[leaf] = 1
-    for node_id in postorder(model):
-        for child in model.children[node_id]:
-            fn[node_id] += fn[child]
+        for node_id in ancestors(model, leaf):
+            fn[node_id] += 1
     return fn
 
 
@@ -184,19 +175,6 @@ def multi_aggregate(model: FailureModel, mp: MultiPlacement) -> FailureAggregate
     return FailureAggregate(entries=tuple(entries), rho=rho)
 
 
-def _subtree_leaves(model: FailureModel, node_id: str) -> set[str]:
-    found: set[str] = set()
-    stack = [node_id]
-    while stack:
-        cursor = stack.pop()
-        kids = model.children[cursor]
-        if not kids:
-            found.add(cursor)
-        else:
-            stack.extend(kids)
-    return found
-
-
 def sub_signature(model: FailureModel, mp: MultiPlacement, node_id: str) -> Signature:
     """Signature of the multi-placement restricted to one subtree.
 
@@ -207,7 +185,7 @@ def sub_signature(model: FailureModel, mp: MultiPlacement, node_id: str) -> Sign
     if node_id not in model.nodes:
         raise ModelError(f"unknown node {node_id!r}")
     rho = mp.girth()
-    below = _subtree_leaves(model, node_id)
+    below = {w for w in postorder(model, [node_id]) if not model.children[w]}
     entries = [0] * (rho + 1)
     for block in mp.blocks:
         inside = len(block & below)
@@ -268,14 +246,13 @@ def path_aggregate(
         raise ModelError(
             f"rho={rho} is smaller than the placement size {len(placement.leaves)}"
         )
-    path = [to_node]
-    cursor = to_node
-    while cursor != from_node:
-        parent = model.parent(cursor)
-        if parent is None:
-            raise ModelError(f"{to_node!r} is not a descendant of {from_node!r}")
-        path.append(parent)
-        cursor = parent
+    path = []
+    for node_id in ancestors(model, to_node):
+        path.append(node_id)
+        if node_id == from_node:
+            break
+    else:
+        raise ModelError(f"{to_node!r} is not a descendant of {from_node!r}")
     fn = failure_numbers(model, placement)
     entries = [0] * (rho + 1)
     for node_id in path:

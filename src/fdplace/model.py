@@ -10,11 +10,18 @@ positive replica capacity. The JSON wire format is::
 
 Exactly the leaves carry "capacity". Node order in the file is
 preserved and used as the child order everywhere downstream.
+
+This module holds the only tree walks: postorder walks the forest or
+chosen subtrees, children first, and ancestors walks a node up to its
+root. subtree_stats prepares the tree for a solve in one postorder
+pass: for every node, the leaf and node counts of its subtree and its
+shallowest leaf with that leaf's depth below the node.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ModelError
@@ -153,61 +160,74 @@ def render_model(model: FailureModel) -> str:
 
 @dataclass
 class SubtreeStats:
-    """Per-node subtree summaries, keyed by node id.
+    """The prepared tree: per-node subtree summaries, keyed by node id.
 
-    min_depth_leaf maps each node to the id of a shallowest descendant
-    leaf (first in child order on ties).
+    leaf_count and node_count count the leaves and the nodes of each
+    subtree. min_rel_depth is how far below the node its shallowest
+    leaf sits, and min_depth_leaf names that leaf (first in child order
+    on ties). Siblings share a depth, so the shallowest leaf relative
+    to a node is also the shallowest in absolute depth.
     """
 
     leaf_count: dict[str, int]
-    capacity_sum: dict[str, int]
+    node_count: dict[str, int]
+    min_rel_depth: dict[str, int]
     min_depth_leaf: dict[str, str]
 
 
-def postorder(model: FailureModel, starts: list[str] | None = None) -> list[str]:
-    """Iterative postorder over the forest (children before parents)."""
+def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[str]:
+    """Iterative postorder over the forest (children before parents).
+
+    With starts, only the subtrees of those nodes are walked. Built as
+    a preorder that visits children last to first, then reversed.
+    """
+    children = model.children
     order: list[str] = []
-    stack: list[tuple[str, bool]] = []
-    for root in reversed(starts if starts is not None else model.roots):
-        stack.append((root, False))
+    stack = list(starts if starts is not None else model.roots)
     while stack:
-        node_id, expanded = stack.pop()
-        if expanded:
-            order.append(node_id)
-            continue
-        stack.append((node_id, True))
-        for child in reversed(model.children[node_id]):
-            stack.append((child, False))
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(children[node_id])
+    order.reverse()
     return order
 
 
-def subtree_stats(model: FailureModel) -> SubtreeStats:
-    depth: dict[str, int] = {}
-    for root in model.roots:
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            node_id = stack.pop()
-            for child in model.children[node_id]:
-                depth[child] = depth[node_id] + 1
-                stack.append(child)
+def ancestors(model: FailureModel, node_id: str) -> Iterator[str]:
+    """Yield node_id, then its parent, and so on up to its root."""
+    nodes = model.nodes
+    cursor: str | None = node_id
+    while cursor is not None:
+        yield cursor
+        cursor = nodes[cursor].parent
 
+
+def subtree_stats(model: FailureModel) -> SubtreeStats:
+    """Prepare the tree in one postorder pass."""
+    children = model.children
     leaf_count: dict[str, int] = {}
-    capacity_sum: dict[str, int] = {}
+    node_count: dict[str, int] = {}
+    min_rel_depth: dict[str, int] = {}
     min_depth_leaf: dict[str, str] = {}
-    for node_id in postorder(model):
-        kids = model.children[node_id]
+    for u in postorder(model):
+        kids = children[u]
         if not kids:
-            leaf_count[node_id] = 1
-            capacity_sum[node_id] = model.capacity(node_id)
-            min_depth_leaf[node_id] = node_id
+            leaf_count[u] = 1
+            node_count[u] = 1
+            min_rel_depth[u] = 0
+            min_depth_leaf[u] = u
             continue
-        leaf_count[node_id] = sum(leaf_count[c] for c in kids)
-        capacity_sum[node_id] = sum(capacity_sum[c] for c in kids)
-        best = min(kids, key=lambda c: depth[min_depth_leaf[c]])
-        min_depth_leaf[node_id] = min_depth_leaf[best]
-    return SubtreeStats(
-        leaf_count=leaf_count,
-        capacity_sum=capacity_sum,
-        min_depth_leaf=min_depth_leaf,
-    )
+        leaves = 0
+        count = 1
+        best = kids[0]
+        depth = min_rel_depth[best]
+        for c in kids:
+            leaves += leaf_count[c]
+            count += node_count[c]
+            if min_rel_depth[c] < depth:
+                best = c
+                depth = min_rel_depth[c]
+        leaf_count[u] = leaves
+        node_count[u] = count
+        min_rel_depth[u] = depth + 1
+        min_depth_leaf[u] = min_depth_leaf[best]
+    return SubtreeStats(leaf_count, node_count, min_rel_depth, min_depth_leaf)

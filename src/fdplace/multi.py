@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
-from .model import FailureModel, postorder, subtree_stats
+# subtree_stats is not called here, but bench/tracer.py wraps this binding.
+from .model import FailureModel, postorder, subtree_stats  # noqa: F401
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
@@ -291,8 +292,7 @@ def solve_multi(
         raise InfeasibleError(
             f"block size {rho} exceeds the {len(model.leaves)} available leaves"
         )
-    stats = subtree_stats(model)
-    total_capacity = sum(stats.capacity_sum[r] for r in model.roots)
+    total_capacity = sum(model.capacity(leaf) for leaf in model.leaves)
     if sum(sizes) > total_capacity:
         raise InfeasibleError(
             f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"

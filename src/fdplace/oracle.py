@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement, failure_numbers
-from .model import FailureModel, subtree_stats
+from .model import FailureModel, ancestors, subtree_stats
 
 DEFAULT_GUARD = 1_000_000
 
@@ -32,18 +32,6 @@ def _resolve_guard(guard: int | None) -> int:
     if value < 1:
         raise GuardLimitError(f"FDPLACE_ORACLE_GUARD must be positive: {raw!r}")
     return value
-
-
-def _leaf_paths(model: FailureModel, leaves: list[str]) -> dict[str, list[str]]:
-    paths: dict[str, list[str]] = {}
-    for leaf in leaves:
-        path = []
-        cursor: str | None = leaf
-        while cursor is not None:
-            path.append(cursor)
-            cursor = model.parent(cursor)
-        paths[leaf] = path
-    return paths
 
 
 def oracle_single(
@@ -64,7 +52,7 @@ def oracle_single(
     if space > limit:
         raise GuardLimitError(f"search space {space} exceeds guard {limit}")
 
-    paths = _leaf_paths(model, leaves)
+    paths = {leaf: list(ancestors(model, leaf)) for leaf in leaves}
     count_by_fn = [0] * (rho + 1)
     count_by_fn[0] = len(model)
     fn = {node_id: 0 for node_id in model.nodes}
@@ -108,7 +96,7 @@ def _block_catalog(
     model: FailureModel, size: int, rho: int, leaves: list[str]
 ) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """All size-subsets of the leaves with their aggregates at girth rho."""
-    paths = _leaf_paths(model, leaves)
+    paths = {leaf: list(ancestors(model, leaf)) for leaf in leaves}
     count_by_fn = [0] * (rho + 1)
     count_by_fn[0] = len(model)
     fn = {node_id: 0 for node_id in model.nodes}
@@ -154,8 +142,7 @@ def oracle_multi(
     if any(s < 1 for s in sizes):
         raise InfeasibleError("every block size must be at least 1")
     leaves = sorted(model.leaves)
-    stats = subtree_stats(model)
-    total_capacity = sum(stats.capacity_sum[r] for r in model.roots)
+    total_capacity = sum(model.capacity(leaf) for leaf in leaves)
     if sum(sizes) > total_capacity:
         raise InfeasibleError(
             f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
@@ -264,10 +251,13 @@ def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceVio
         kids = model.children[node_id]
         if len(kids) < 2:
             continue
+        # A heavy side exceeds a light side by at least 2, so only
+        # children holding 2 or more replicas can be one.
+        heavies = [c for c in kids if fn[c] >= 2]
         for light in kids:
             if fn[light] >= stats.leaf_count[light]:
                 continue
-            for heavy in kids:
+            for heavy in heavies:
                 if fn[heavy] > fn[light] + 1:
                     violations.append(
                         BalanceViolation(

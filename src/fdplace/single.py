@@ -11,15 +11,23 @@ aggregate and one placement achieving it.
 A subtree can host at most one replica per leaf, so child "capacities"
 inside the solvers are subtree leaf counts. A child is filled when its
 subtree holds as many replicas as it has leaves.
+
+Each solve prepares the tree once with model.subtree_stats. Per node it
+holds the subtree's leaf count (its capacity here), its node count (the
+aggregate of a subtree left empty) and its shallowest leaf with that
+leaf's depth below the node (where an empty subtree takes one extra
+replica most cheaply). A filled subtree's aggregate and its leaves come
+from a postorder walk of just that subtree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
-from .model import FailureModel, postorder
+from .model import FailureModel, SubtreeStats, ancestors, postorder, subtree_stats
 
 
 def nth_smallest(items: list, k: int):
@@ -167,52 +175,30 @@ def select_heavy(pairs: list[ChildValuePair], beta: int) -> set[int]:
     return {i for diff, i in keys if (diff, i) <= threshold}
 
 
-@dataclass
-class _TreeInfo:
-    leaf_count: dict[str, int]
-    node_count: dict[str, int]
-    min_rel_depth: dict[str, int]
-    min_leaf: dict[str, str]
+def _fill(
+    vec: list[int], top: int, model: FailureModel, stats: SubtreeStats, filled: Sequence[str]
+) -> None:
+    """Add the aggregate of the filled subtrees, one replica on every
+    leaf, to vec, whose index top stands for aggregate index rho: each
+    node w in them loses all leaf_count[w] replicas below it."""
+    if not filled:  # most plan nodes have no filled children
+        return
+    leaf_count = stats.leaf_count
+    for w in postorder(model, filled):
+        vec[top - leaf_count[w]] += 1
 
 
-def _tree_info(model: FailureModel) -> _TreeInfo:
-    leaf_count: dict[str, int] = {}
-    node_count: dict[str, int] = {}
-    min_rel_depth: dict[str, int] = {}
-    min_leaf: dict[str, str] = {}
-    for u in postorder(model):
-        kids = model.children[u]
-        if not kids:
-            leaf_count[u] = 1
-            node_count[u] = 1
-            min_rel_depth[u] = 0
-            min_leaf[u] = u
-            continue
-        leaf_count[u] = sum(leaf_count[c] for c in kids)
-        node_count[u] = 1 + sum(node_count[c] for c in kids)
-        best = min(kids, key=lambda c: min_rel_depth[c])
-        min_rel_depth[u] = min_rel_depth[best] + 1
-        min_leaf[u] = min_leaf[best]
-    return _TreeInfo(leaf_count, node_count, min_rel_depth, min_leaf)
+def _leaves_below(model: FailureModel, filled: Sequence[str]) -> list[str]:
+    if not filled:
+        return []
+    return [w for w in postorder(model, filled) if not model.children[w]]
 
 
-def _walk_subtree(model: FailureModel, start: str):
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        yield u
-        stack.extend(model.children[u])
-
-
-def _subtree_leaf_ids(model: FailureModel, start: str) -> list[str]:
-    return [w for w in _walk_subtree(model, start) if model.is_leaf(w)]
-
-
-def _check_rho(rho: int, total_leaves: int) -> None:
+def _check_rho(model: FailureModel, rho: int) -> None:
     if rho < 1:
         raise InfeasibleError(f"rho must be at least 1, got {rho}")
-    if rho > total_leaves:
-        raise InfeasibleError(f"rho={rho} exceeds the {total_leaves} available leaves")
+    if rho > len(model.leaves):
+        raise InfeasibleError(f"rho={rho} exceeds the {len(model.leaves)} available leaves")
 
 
 def _label_base(label: LabelResult) -> int:
@@ -221,9 +207,8 @@ def _label_base(label: LabelResult) -> int:
 
 def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Memoized reference solver over (node, replica count) states."""
-    info = _tree_info(model)
-    total_leaves = sum(info.leaf_count[r] for r in model.roots)
-    _check_rho(rho, total_leaves)
+    _check_rho(model, rho)
+    stats = subtree_stats(model)
 
     memo: dict[tuple[str, int], tuple[int, ...]] = {}
     labels: dict[tuple[str, int], LabelResult] = {}
@@ -234,8 +219,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         cached = filled_cache.get(u)
         if cached is None:
             entries = [0] * (rho + 1)
-            for w in _walk_subtree(model, u):
-                entries[rho - info.leaf_count[w]] += 1
+            _fill(entries, rho, model, stats, [u])
             cached = tuple(entries)
             filled_cache[u] = cached
         return cached
@@ -247,10 +231,10 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
             if (u, m) in memo:
                 stack.pop()
                 continue
-            lc = info.leaf_count[u]
+            lc = stats.leaf_count[u]
             if m == 0:
                 entries = [0] * (rho + 1)
-                entries[rho] = info.node_count[u]
+                entries[rho] = stats.node_count[u]
                 memo[(u, m)] = tuple(entries)
                 stack.pop()
                 continue
@@ -261,7 +245,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
             kids = model.children[u]
             label = labels.get((u, m))
             if label is None:
-                label = label_children([info.leaf_count[c] for c in kids], m)
+                label = label_children([stats.leaf_count[c] for c in kids], m)
                 labels[(u, m)] = label
             unf = sorted(label.unfilled)
             base = _label_base(label)
@@ -307,7 +291,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         value = memo[(root, rho)]
         seeds = [(root, rho)]
     else:
-        label = label_children([info.leaf_count[r] for r in model.roots], rho)
+        label = label_children([stats.leaf_count[r] for r in model.roots], rho)
         roots = model.roots
         unf = sorted(label.unfilled)
         seeds = []
@@ -315,7 +299,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         for i in sorted(label.filled):
             for j, v in enumerate(filled_value(roots[i])):
                 entries[j] += v
-            seeds.append((roots[i], info.leaf_count[roots[i]]))
+            seeds.append((roots[i], stats.leaf_count[roots[i]]))
         if unf:
             base = _label_base(label)
             beta = label.heavy_count
@@ -345,12 +329,12 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         u, m = rstack.pop()
         if m == 0:
             continue
-        if m == info.leaf_count[u]:
-            out.extend(_subtree_leaf_ids(model, u))
+        if m == stats.leaf_count[u]:
+            out.extend(_leaves_below(model, [u]))
             continue
         filled_ids, unfilled_ids, base, heavy_ids = choices[(u, m)]
         for c in filled_ids:
-            rstack.append((c, info.leaf_count[c]))
+            rstack.append((c, stats.leaf_count[c]))
         for c in unfilled_ids:
             rstack.append((c, base + 1 if c in heavy_ids else base))
 
@@ -386,7 +370,7 @@ class Plan:
 
 
 def _divide(
-    model: FailureModel, info: _TreeInfo, rho: int
+    model: FailureModel, stats: SubtreeStats, rho: int
 ) -> tuple[dict[str, int], dict[str | None, LabelResult]]:
     """Assign a light replica mass to every reachable node, labeling
     each visited node once. A forest is driven by one labeling over the
@@ -397,16 +381,16 @@ def _divide(
 
     def enter(node_id: str, mass: int) -> None:
         masses[node_id] = mass
-        if mass != 0 and mass != info.leaf_count[node_id] and model.children[node_id]:
+        if mass != 0 and mass != stats.leaf_count[node_id] and model.children[node_id]:
             pending.append(node_id)
 
     if len(model.roots) == 1:
         enter(model.roots[0], rho)
     else:
-        label = label_children([info.leaf_count[r] for r in model.roots], rho)
+        label = label_children([stats.leaf_count[r] for r in model.roots], rho)
         labels[None] = label
         for i in sorted(label.filled):
-            masses[model.roots[i]] = info.leaf_count[model.roots[i]]
+            masses[model.roots[i]] = stats.leaf_count[model.roots[i]]
         if label.unfilled:
             base = _label_base(label)
             for i in sorted(label.unfilled):
@@ -415,10 +399,10 @@ def _divide(
     while pending:
         u = pending.pop()
         kids = model.children[u]
-        label = label_children([info.leaf_count[c] for c in kids], masses[u])
+        label = label_children([stats.leaf_count[c] for c in kids], masses[u])
         labels[u] = label
         for i in sorted(label.filled):
-            masses[kids[i]] = info.leaf_count[kids[i]]
+            masses[kids[i]] = stats.leaf_count[kids[i]]
         if label.unfilled:
             base = _label_base(label)
             for i in sorted(label.unfilled):
@@ -428,7 +412,7 @@ def _divide(
 
 def _build_plan(
     model: FailureModel,
-    info: _TreeInfo,
+    stats: SubtreeStats,
     masses: dict[str, int],
     labels: dict[str | None, LabelResult],
 ) -> Plan:
@@ -441,7 +425,7 @@ def _build_plan(
             tasks.pop()
             continue
         m = masses[u]
-        lc = info.leaf_count[u]
+        lc = stats.leaf_count[u]
         if m == 0:
             made[u] = PlanNode(kind="zero", node=u, mass=0)
             tasks.pop()
@@ -506,23 +490,23 @@ def contract_chains(model: FailureModel, assignments: dict[str, int]) -> Plan:
     have a single unfilled child collapse into one chain plan node; the
     entry roots themselves are never absorbed into a chain.
     """
-    info = _tree_info(model)
+    stats = subtree_stats(model)
     labels: dict[str | None, LabelResult] = {}
     for u, m in assignments.items():
         if u not in model.nodes:
             raise ModelError(f"assignment names unknown node {u!r}")
         kids = model.children[u]
-        if kids and 0 < m < info.leaf_count[u]:
-            labels[u] = label_children([info.leaf_count[c] for c in kids], m)
+        if kids and 0 < m < stats.leaf_count[u]:
+            labels[u] = label_children([stats.leaf_count[c] for c in kids], m)
     for r in model.roots:
         if r not in assignments:
             raise ModelError(f"assignment is missing root {r!r}")
-    return _build_plan(model, info, assignments, labels)
+    return _build_plan(model, stats, assignments, labels)
 
 
 def _combine_plan(
     model: FailureModel,
-    info: _TreeInfo,
+    stats: SubtreeStats,
     rho: int,
     labels: dict[str | None, LabelResult],
     plan: Plan,
@@ -564,38 +548,33 @@ def _combine_plan(
         if pn.kind == "zero":
             s = rho - 1 if nh else rho
             light = [0] * (rho - s + 1)
-            light[rho - s] = info.node_count[pn.node]
+            light[rho - s] = stats.node_count[pn.node]
             heavy = None
             if nh:
-                path_len = info.min_rel_depth[pn.node] + 1
+                path_len = stats.min_rel_depth[pn.node] + 1
                 heavy = [0] * (rho - s + 1)
                 heavy[rho - 1 - s] = path_len
-                heavy[rho - s] = info.node_count[pn.node] - path_len
+                heavy[rho - s] = stats.node_count[pn.node] - path_len
             windows[id(pn)] = (s, light, heavy)
             continue
         if pn.kind == "filled":
-            s = rho - info.leaf_count[pn.node]
+            s = rho - stats.leaf_count[pn.node]
             light = [0] * (rho - s + 1)
-            for w in _walk_subtree(model, pn.node):
-                light[(rho - info.leaf_count[w]) - s] += 1
+            _fill(light, rho - s, model, stats, [pn.node])
             windows[id(pn)] = (s, light, None)
             continue
         m = pn.mass
         s = rho - m - 1 if nh else rho - m
         size = rho - s + 1
+        # Filled children count the same in both windows.
         light = [0] * size
-        heavy = [0] * size if nh else None
+        _fill(light, rho - s, model, stats, pn.filled_children + pn.chain_filled)
+        heavy = light.copy() if nh else None
         if pn.kind == "chain":
             for v, mv in zip(pn.chain, pn.chain_masses):
                 light[(rho - mv) - s] += 1
                 if nh:
                     heavy[(rho - mv - 1) - s] += 1
-            for fc in pn.chain_filled:
-                for w in _walk_subtree(model, fc):
-                    idx = (rho - info.leaf_count[w]) - s
-                    light[idx] += 1
-                    if nh:
-                        heavy[idx] += 1
             es, el, eh = windows[id(pn.children[0])]
             off = es - s
             for j, v in enumerate(el):
@@ -609,12 +588,6 @@ def _combine_plan(
         light[(rho - m) - s] += 1
         if nh:
             heavy[(rho - m - 1) - s] += 1
-        for fc in pn.filled_children:
-            for w in _walk_subtree(model, fc):
-                idx = (rho - info.leaf_count[w]) - s
-                light[idx] += 1
-                if nh:
-                    heavy[idx] += 1
         beta = pn.label.heavy_count
         kid_windows = [windows[id(cp)] for cp in pn.children]
         light_sel: set[int] = set()
@@ -680,16 +653,14 @@ def _combine_plan(
         pn, hv = rstack.pop()
         if pn.kind == "zero":
             if hv:
-                out.append(info.min_leaf[pn.node])
+                out.append(stats.min_depth_leaf[pn.node])
         elif pn.kind == "filled":
-            out.extend(_subtree_leaf_ids(model, pn.node))
+            out.extend(_leaves_below(model, [pn.node]))
         elif pn.kind == "chain":
-            for fc in pn.chain_filled:
-                out.extend(_subtree_leaf_ids(model, fc))
+            out.extend(_leaves_below(model, pn.chain_filled))
             rstack.append((pn.children[0], hv))
         else:
-            for fc in pn.filled_children:
-                out.extend(_subtree_leaf_ids(model, fc))
+            out.extend(_leaves_below(model, pn.filled_children))
             lsel, hsel = choices[id(pn)]
             sel = hsel if hv else lsel
             for i, cp in enumerate(pn.children):
@@ -700,12 +671,11 @@ def _combine_plan(
 def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Near-linear solver: label once per node, contract chains, then
     combine short suffix windows bottom up."""
-    info = _tree_info(model)
-    total_leaves = sum(info.leaf_count[r] for r in model.roots)
-    _check_rho(rho, total_leaves)
-    masses, labels = _divide(model, info, rho)
-    plan = _build_plan(model, info, masses, labels)
-    entries, out = _combine_plan(model, info, rho, labels, plan)
+    _check_rho(model, rho)
+    stats = subtree_stats(model)
+    masses, labels = _divide(model, stats, rho)
+    plan = _build_plan(model, stats, masses, labels)
+    entries, out = _combine_plan(model, stats, rho, labels, plan)
     return FailureAggregate(entries=tuple(entries), rho=rho), Placement(leaves=frozenset(out))
 
 
@@ -713,18 +683,8 @@ def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Place
     """Place one replica at a time, each time choosing the leaf whose
     addition gives the lexicographically smallest next aggregate (ties
     broken by smallest leaf id)."""
-    info = _tree_info(model)
-    total_leaves = sum(info.leaf_count[r] for r in model.roots)
-    _check_rho(rho, total_leaves)
-
-    paths: dict[str, list[str]] = {}
-    for leaf in model.leaves:
-        path = []
-        cursor: str | None = leaf
-        while cursor is not None:
-            path.append(cursor)
-            cursor = model.parent(cursor)
-        paths[leaf] = path
+    _check_rho(model, rho)
+    paths = {leaf: list(ancestors(model, leaf)) for leaf in model.leaves}
 
     fn = {node_id: 0 for node_id in model.nodes}
     agg = [0] * (rho + 1)

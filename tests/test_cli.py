@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -297,3 +298,24 @@ def test_reports_are_stable_between_runs(capsys):
     first.pop("wall_time_ms")
     second.pop("wall_time_ms")
     assert first == second
+
+
+def test_out_of_memory_exits_3():
+    # 100 MB of address space leaves room for the interpreter and runs
+    # out about a second into generating a 10^8-leaf model.
+    limit = 100 << 20
+
+    def cap_address_space() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdplace", "gen", "--leaves", "100000000", "--seed", "1"],
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.stdout == ""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fdplace.errors import ModelError
-from fdplace.model import parse_model, postorder, render_model, subtree_stats
+from fdplace.model import ancestors, parse_model, postorder, render_model, subtree_stats
 
 from conftest import fixture_path
 
@@ -145,7 +145,7 @@ def test_subtree_stats_two_rows(two_rows):
     assert stats.leaf_count["row2"] == 5
     assert stats.leaf_count["rack4"] == 3
     assert stats.leaf_count["srv1"] == 1
-    assert stats.capacity_sum["row2"] == 5
+    assert stats.node_count["row2"] == 8
     assert stats.min_depth_leaf["row1"] == "srv1"
     assert stats.min_depth_leaf["rack3"] == "srv5"
     assert stats.min_depth_leaf["srv6"] == "srv6"
@@ -164,3 +164,18 @@ def test_subtree_stats_prefers_shallowest_leaf():
     )
     stats = subtree_stats(model)
     assert stats.min_depth_leaf["r"] == "near"
+
+
+def test_ancestors_walk_up_to_the_root(two_rows):
+    assert list(ancestors(two_rows, "srv7")) == ["srv7", "rack4", "row2"]
+    assert list(ancestors(two_rows, "row1")) == ["row1"]
+
+
+def test_subtree_stats_node_counts_and_depths(two_rows):
+    stats = subtree_stats(two_rows)
+    assert stats.node_count["row1"] == 7
+    assert stats.node_count["rack4"] == 4
+    assert stats.node_count["srv9"] == 1
+    assert stats.min_rel_depth["row2"] == 2
+    assert stats.min_rel_depth["rack3"] == 1
+    assert stats.min_rel_depth["srv5"] == 0

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
 from fdplace.errors import GuardLimitError, InfeasibleError
 from fdplace.generate import random_model
-from fdplace.metrics import MultiPlacement, Placement, failure_aggregate, multi_aggregate
-from fdplace.model import parse_model
+from fdplace.metrics import (
+    MultiPlacement,
+    Placement,
+    failure_aggregate,
+    failure_numbers,
+    multi_aggregate,
+)
+from fdplace.model import parse_model, subtree_stats
 from fdplace.oracle import check_balanced, oracle_multi, oracle_single
 
 
@@ -140,3 +147,56 @@ def test_check_balanced_ignores_filled_children(two_rows):
     light = {(v.node, v.light_child) for v in violations}
     assert ("row1", "rack1") not in light
     assert any(v.light_child == "rack2" for v in violations)
+
+
+def pairwise_violations(model, placement):
+    # The definition itself: every ordered sibling pair, in child order.
+    fn = failure_numbers(model, placement)
+    stats = subtree_stats(model)
+    return [
+        (u, light, heavy, fn[light], fn[heavy])
+        for u in model.nodes
+        for light in model.children[u]
+        if fn[light] < stats.leaf_count[light]
+        for heavy in model.children[u]
+        if fn[heavy] > fn[light] + 1
+    ]
+
+
+def test_check_balanced_matches_pairwise_definition():
+    rng = random.Random(31)
+    flagged = 0
+    for trial in range(150):
+        model = random_model(leaves=rng.randint(2, 40), seed=3100 + trial, max_fanout=6)
+        leaves = sorted(model.leaves)
+        placement = Placement(leaves=frozenset(rng.sample(leaves, rng.randint(0, len(leaves)))))
+        found = [
+            (v.node, v.light_child, v.heavy_child, v.light_count, v.heavy_count)
+            for v in check_balanced(model, placement)
+        ]
+        assert found == pairwise_violations(model, placement), trial
+        flagged += bool(found)
+    assert flagged >= 50, flagged
+
+
+def test_check_balanced_on_wide_nodes():
+    # A 50k-leaf star: no leaf can hold two replicas, so nothing is heavy.
+    nodes = [{"id": "root", "parent": None}]
+    nodes += [{"id": f"s{i}", "parent": "root", "capacity": 1} for i in range(50_000)]
+    star = parse_model(json.dumps({"nodes": nodes}))
+    spread = Placement(leaves=frozenset(f"s{i}" for i in range(0, 50_000, 781)))
+    assert len(spread) == 65
+    assert check_balanced(star, spread) == []
+
+    # 10k two-server racks with one full rack: every empty rack lags it.
+    nodes = [{"id": "root", "parent": None}]
+    for r in range(10_000):
+        nodes.append({"id": f"r{r}", "parent": "root"})
+        nodes += [{"id": f"r{r}s{k}", "parent": f"r{r}", "capacity": 1} for k in (0, 1)]
+    racks = parse_model(json.dumps({"nodes": nodes}))
+    full = Placement(leaves=frozenset({"r7s0", "r7s1", "r9s0"}))
+    violations = check_balanced(racks, full)
+    assert len(violations) == 9_998
+    assert [v.light_child for v in violations[:7]] == [f"r{r}" for r in range(7)]
+    assert violations[7].light_child == "r8"
+    assert {(v.node, v.heavy_child, v.heavy_count) for v in violations} == {("root", "r7", 2)}
