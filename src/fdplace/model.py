@@ -13,9 +13,10 @@ preserved and used as the child order everywhere downstream.
 
 This module holds the only tree walks: postorder walks the forest or
 chosen subtrees, children first, and ancestors walks a node up to its
-root. subtree_stats prepares the tree for a solve in one postorder
-pass: for every node, the leaf and node counts of its subtree and its
-shallowest leaf with that leaf's depth below the node.
+root. children_of treats None as a virtual root whose children are
+the model's roots. subtree_stats prepares the tree for a solve in one
+postorder pass: for every node, the leaf and node counts of its
+subtree and its shallowest leaf with that leaf's depth below the node.
 """
 
 from __future__ import annotations
@@ -190,6 +191,12 @@ def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[
         stack.extend(children[node_id])
     order.reverse()
     return order
+
+
+def children_of(model: FailureModel, node_id: str | None) -> list[str]:
+    """Children of node_id; None is a virtual root whose children are
+    the model's roots, so a solver can treat a forest as one tree."""
+    return model.roots if node_id is None else model.children[node_id]
 
 
 def ancestors(model: FailureModel, node_id: str) -> Iterator[str]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
 # subtree_stats is not called here, but bench/tracer.py wraps this binding.
-from .model import FailureModel, postorder, subtree_stats  # noqa: F401
+from .model import FailureModel, children_of, postorder, subtree_stats  # noqa: F401
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
@@ -381,13 +381,10 @@ def solve_multi(
     sub_target: dict[str, int] = {}
     fold_steps: dict[str | None, list[tuple[int, int, int]]] = {}
 
-    def kids_of(key: str | None) -> list[str]:
-        return model.roots if key is None else model.children[key]
-
     walk: list[tuple[str | None, int]] = [(root_key, target_id)]
     while walk:
         u, sid = walk.pop()
-        kids = kids_of(u)
+        kids = children_of(model, u)
         if not kids:
             assert u is not None
             sub_target[u] = sid

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import GuardLimitError, InfeasibleError
@@ -52,78 +53,56 @@ def oracle_single(
     if space > limit:
         raise GuardLimitError(f"search space {space} exceeds guard {limit}")
 
-    paths = {leaf: list(ancestors(model, leaf)) for leaf in leaves}
-    count_by_fn = [0] * (rho + 1)
-    count_by_fn[0] = len(model)
-    fn = {node_id: 0 for node_id in model.nodes}
-
     best: tuple[int, ...] | None = None
     optima: list[frozenset[str]] = []
-    chosen: list[str] = []
-
-    def add(leaf: str, delta: int) -> None:
-        for node_id in paths[leaf]:
-            count_by_fn[fn[node_id]] -= 1
-            fn[node_id] += delta
-            count_by_fn[fn[node_id]] += 1
-
-    def explore(start: int) -> None:
-        nonlocal best
-        if len(chosen) == rho:
-            agg = tuple(reversed(count_by_fn))
-            if best is None or agg < best:
-                best = agg
-                optima.clear()
-                optima.append(frozenset(chosen))
-            elif agg == best:
-                optima.append(frozenset(chosen))
-            return
-        remaining = rho - len(chosen)
-        for i in range(start, len(leaves) - remaining + 1):
-            leaf = leaves[i]
-            chosen.append(leaf)
-            add(leaf, 1)
-            explore(i + 1)
-            add(leaf, -1)
-            chosen.pop()
-
-    explore(0)
+    for chosen, agg in _subsets(model, leaves, rho, rho):
+        if best is None or agg < best:
+            best = agg
+            optima.clear()
+            optima.append(frozenset(chosen))
+        elif agg == best:
+            optima.append(frozenset(chosen))
     assert best is not None
     return FailureAggregate(entries=best, rho=rho), [Placement(leaves=s) for s in optima]
 
 
-def _block_catalog(
-    model: FailureModel, size: int, rho: int, leaves: list[str]
-) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """All size-subsets of the leaves with their aggregates at girth rho."""
-    paths = {leaf: list(ancestors(model, leaf)) for leaf in leaves}
+def _subsets(
+    model: FailureModel, leaves: list[str], size: int, rho: int
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Yield every size-subset of leaves, in lexicographic order of leaf
+    positions, with its aggregate at girth rho.
+
+    A depth-first walk with an explicit stack of chosen positions: each
+    leaf's path is added to the failure numbers when it is chosen and
+    taken off when it is dropped, so the depth never touches the
+    interpreter's recursion limit.
+    """
+    paths = [list(ancestors(model, leaf)) for leaf in leaves]
     count_by_fn = [0] * (rho + 1)
     count_by_fn[0] = len(model)
-    fn = {node_id: 0 for node_id in model.nodes}
-    out: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
-    chosen: list[str] = []
+    fn = dict.fromkeys(model.nodes, 0)
 
-    def add(leaf: str, delta: int) -> None:
-        for node_id in paths[leaf]:
+    def add(i: int, delta: int) -> None:
+        for node_id in paths[i]:
             count_by_fn[fn[node_id]] -= 1
             fn[node_id] += delta
             count_by_fn[fn[node_id]] += 1
 
-    def explore(start: int) -> None:
+    chosen: list[int] = []
+    nxt = 0  # the next position to try after the chosen ones
+    while True:
         if len(chosen) == size:
-            out.append((tuple(chosen), tuple(reversed(count_by_fn))))
+            yield tuple(leaves[i] for i in chosen), tuple(reversed(count_by_fn))
+        elif nxt <= len(leaves) - (size - len(chosen)):
+            chosen.append(nxt)
+            add(nxt, 1)
+            nxt += 1
+            continue
+        if not chosen:
             return
-        remaining = size - len(chosen)
-        for i in range(start, len(leaves) - remaining + 1):
-            leaf = leaves[i]
-            chosen.append(leaf)
-            add(leaf, 1)
-            explore(i + 1)
-            add(leaf, -1)
-            chosen.pop()
-
-    explore(0)
-    return out
+        nxt = chosen.pop()
+        add(nxt, -1)
+        nxt += 1
 
 
 def oracle_multi(
@@ -168,9 +147,7 @@ def oracle_multi(
     if space > limit:
         raise GuardLimitError(f"search space {space} exceeds guard {limit}")
 
-    catalogs = {
-        s: _block_catalog(model, s, rho, leaves) for s in set(ordered_sizes)
-    }
+    catalogs = {s: list(_subsets(model, leaves, s, rho)) for s in set(ordered_sizes)}
     cw_min = {
         s: tuple(min(agg[i] for _, agg in cat) for i in range(rho + 1))
         for s, cat in catalogs.items()

@@ -262,6 +262,19 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 2
 
 
+def test_oracles_choose_more_leaves_than_the_recursion_limit(capsys, tmp_path):
+    # One candidate each, so the guard lets both through; choosing 1200
+    # leaves one at a time must not recurse once per leaf.
+    model = str(tmp_path / "model.json")
+    code, _out, _err = run_cli(capsys, "gen", "--leaves", "1200", "--seed", "1", "--out", model)
+    assert code == 0
+    solved = run_json(capsys, "solve-single", model, "--rho", "1200")
+    single = run_json(capsys, "oracle-single", model, "--rho", "1200")
+    multi = run_json(capsys, "oracle-multi", model, "--sizes", "1200")
+    assert single["objective"] == solved["objective"]
+    assert multi["objective"] == solved["objective"]
+
+
 def test_threads_flag_is_refused(capsys):
     model = fixture_path("two_rows.json")
     for command, request in (("solve-single", "--rho"), ("solve-multi", "--sizes")):

@@ -13,7 +13,6 @@ from fdplace.model import parse_model
 from fdplace.oracle import check_balanced, oracle_single
 from fdplace.single import (
     ChildValuePair,
-    contract_chains,
     label_children,
     nth_smallest,
     select_heavy,
@@ -238,73 +237,112 @@ def test_fast_equals_basic_on_deeper_trees():
             assert failure_aggregate(model, placement, rho).entries == fast_agg.entries
 
 
-def chain_model():
-    return parse_model(
-        json.dumps(
-            {
-                "nodes": [
-                    {"id": "r", "parent": None},
-                    {"id": "v1", "parent": "r"},
-                    {"id": "v2", "parent": "v1"},
-                    {"id": "x", "parent": "v2", "capacity": 1},
-                    {"id": "y", "parent": "v2", "capacity": 1},
-                ]
-            }
-        )
-    )
+def _build(spec):
+    """Model from (id, parent, is_leaf) triples, in that order."""
+    nodes = []
+    for node_id, parent, leaf in spec:
+        entry = {"id": node_id, "parent": parent}
+        if leaf:
+            entry["capacity"] = 1
+        nodes.append(entry)
+    return parse_model(json.dumps({"nodes": nodes}))
 
 
-def test_contract_chains_builds_one_pseudonode():
-    model = chain_model()
-    plan = contract_chains(model, {"r": 1, "v1": 1, "v2": 1, "x": 0, "y": 1})
-    root_plan = plan.roots[0]
-    # The entry root is never absorbed, so the run below it contracts
-    # into a single chain node ending at the branching node v2.
-    assert root_plan.kind == "branch"
-    assert root_plan.node == "r"
-    (chain,) = root_plan.children
-    assert chain.kind == "chain"
-    assert chain.chain == ("v1",)
-    (end,) = chain.children
-    assert end.kind == "branch"
-    assert end.node == "v2"
-    kinds = {pn.kind for pn in end.children}
-    assert kinds == {"zero", "filled"}
+def _path(prefix, parent, length):
+    """A run of pass-through nodes below parent; returns the spec and
+    the id of the deepest node."""
+    spec = []
+    for i in range(length):
+        spec.append((f"{prefix}{i}", parent, False))
+        parent = f"{prefix}{i}"
+    return spec, parent
 
 
-def test_contract_chains_collects_filled_side_children():
-    model = parse_model(
-        json.dumps(
-            {
-                "nodes": [
-                    {"id": "r", "parent": None},
-                    {"id": "mid", "parent": "r"},
-                    {"id": "spur", "parent": "mid", "capacity": 1},
-                    {"id": "deep", "parent": "mid"},
-                    {"id": "x", "parent": "deep", "capacity": 1},
-                    {"id": "y", "parent": "deep", "capacity": 1},
-                ]
-            }
-        )
-    )
-    # Two replicas: spur fills, deep keeps one unfilled child below it.
-    plan = contract_chains(
-        model, {"r": 2, "mid": 2, "spur": 1, "deep": 1, "x": 1, "y": 0}
-    )
-    root_plan = plan.roots[0]
-    (chain,) = root_plan.children
-    assert chain.kind == "chain"
-    assert chain.chain == ("mid",)
-    assert chain.chain_filled == ("spur",)
-    assert chain.children[0].node == "deep"
+def _star(prefix, parent, leaves):
+    return [(f"{prefix}{i}", parent, True) for i in range(leaves)]
 
 
-def test_contract_chains_validation():
-    model = chain_model()
-    with pytest.raises(ModelError):
-        contract_chains(model, {"v1": 1})
-    with pytest.raises(ModelError):
-        contract_chains(model, {"r": 1, "ghost": 1})
+def _caterpillar(prefix, parent, spine, rng):
+    """A spine whose nodes each carry one or two leaves beside the next
+    spine node; the last spine node holds two leaves."""
+    spec = []
+    for i in range(spine):
+        node = f"{prefix}{i}"
+        spec.append((node, parent, False))
+        spec += _star(f"{prefix}{i}l", node, rng.randint(1, 2))
+        parent = node
+    return spec + _star(f"{prefix}end", parent, 2)
+
+
+def _chain_heavy_models():
+    rng = random.Random(41)
+    models = []
+    # Paths of pass-through nodes above a star or a small random tree.
+    for length, leaves in ((1, 2), (2, 5), (5, 6), (3, 24)):
+        spec, bottom = _path("p", None, length)
+        models.append(_build(spec + _star("s", bottom, leaves)))
+    # Caterpillars.
+    for spine in (1, 3, 6, 15):
+        models.append(_build(_caterpillar("c", None, spine, rng)))
+    # A single root whose leaves fill, leaving one unfilled child that
+    # heads a run.
+    spec = [("r", None, False)] + _star("a", "r", 2)
+    run, bottom = _path("q", "r", 3)
+    models.append(_build(spec + run + _star("b", bottom, 5)))
+    # Forests whose roots head single-child runs, beside bare leaves.
+    for trial in range(6):
+        spec = []
+        for root in range(rng.randint(2, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                run, bottom = _path(f"f{root}p", None, rng.randint(1, 4))
+                spec += run + _star(f"f{root}s", bottom, rng.randint(1, 4))
+            elif kind == 1:
+                spec += _caterpillar(f"f{root}c", None, rng.randint(1, 3), rng)
+            else:
+                spec.append((f"f{root}", None, True))
+        models.append(_build(spec))
+    return models
+
+
+def test_chain_heavy_shapes_match_basic_and_oracle():
+    for model in _chain_heavy_models():
+        n = len(model.leaves)
+        for rho in range(1, n + 1):
+            ref, _ = oracle_single(model, rho) if n <= 14 else solve_basic(model, rho)
+            for solver in (solve_fast, solve_basic):
+                agg, placement = solver(model, rho)
+                assert agg.entries == ref.entries, (n, rho, solver.__name__)
+                assert failure_aggregate(model, placement, rho).entries == agg.entries
+                assert check_balanced(model, placement) == []
+
+
+def test_fast_extends_deep_paths_in_linear_time():
+    # 20k pass-through nodes above a 2048-leaf binary tree: every node of
+    # the run passes all 1024 replicas down to its only child.
+    run, bottom = _path("p", None, 20_000)
+    spec = list(run)
+    level = [bottom]
+    for depth in range(11):
+        nxt = []
+        for parent in level:
+            for side in "ab":
+                node = f"{parent}{side}"
+                spec.append((node, parent, depth == 10))
+                nxt.append(node)
+        level = nxt
+    deep = _build(spec)
+    tree = _build([("p19999", None, False)] + spec[20_000:])
+    started = time.perf_counter()
+    agg, placement = solve_fast(deep, 1024)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0
+    bare, bare_placement = solve_fast(tree, 1024)
+    # The run's other 19,999 nodes all fail with the 1024 replicas.
+    assert agg.entries == (bare.entries[0] + 19_999,) + bare.entries[1:]
+    assert placement == bare_placement
+    assert len(placement.leaves) == 1024
+    assert check_balanced(tree, placement) == []
 
 
 def test_zero_mass_root_gets_closed_form():
