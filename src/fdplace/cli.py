@@ -48,6 +48,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ModelError(f"cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"file is not UTF-8: {exc}") from exc
 
 
 def _parse_sizes(raw: str) -> list[int]:

@@ -10,11 +10,10 @@ failure counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .model import FailureModel, ancestors, postorder
+from .model import FailureModel, ancestors, decode_json, postorder
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,7 @@ def lex_cmp(a: object, b: object) -> int:
 
 
 def parse_placement(text: str) -> Placement:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid JSON: {exc}") from exc
+    doc = decode_json(text)
     if not isinstance(doc, dict) or "leaves" not in doc:
         raise ModelError('placement document must be an object with a "leaves" array')
     raw = doc["leaves"]
@@ -96,10 +92,7 @@ def parse_placement(text: str) -> Placement:
 
 
 def parse_multi_placement(text: str) -> MultiPlacement:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid JSON: {exc}") from exc
+    doc = decode_json(text)
     if not isinstance(doc, dict) or "blocks" not in doc:
         raise ModelError('multi-placement document must be an object with a "blocks" array')
     raw = doc["blocks"]

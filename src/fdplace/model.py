@@ -92,6 +92,16 @@ def _check_node_entry(entry: object, seen: dict[str, Node]) -> Node:
     return Node(id=node_id, parent=parent, capacity=capacity)
 
 
+def decode_json(text: str) -> object:
+    """json.loads, refusing with ModelError whatever the decoder
+    refuses: bad syntax, nesting deeper than the interpreter's recursion
+    limit, or an integer longer than its digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"invalid JSON: {exc}") from exc
+
+
 def parse_model(text: str) -> FailureModel:
     """Parse and validate the JSON wire format.
 
@@ -99,10 +109,7 @@ def parse_model(text: str) -> FailureModel:
     parents, capacity on an internal node or missing on a leaf, parent
     cycles, or an empty model.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid JSON: {exc}") from exc
+    doc = decode_json(text)
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ModelError('model document must be an object with a "nodes" array')
     raw_nodes = doc["nodes"]

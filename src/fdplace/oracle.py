@@ -160,45 +160,52 @@ def oracle_multi(
         suffix_min[i] = tuple(below[j] + mins[j] for j in range(rho + 1))
 
     capacity = {leaf: model.capacity(leaf) for leaf in leaves}
-    used: dict[str, int] = {}
-    picks: list[int] = []
+    used = dict.fromkeys(leaves, 0)
+
+    def take(block: tuple[str, ...]) -> bool:
+        for t, leaf in enumerate(block):
+            if used[leaf] >= capacity[leaf]:
+                for back in block[:t]:
+                    used[back] -= 1
+                return False
+            used[leaf] += 1
+        return True
+
+    # Depth-first over block positions with an explicit stack: picks[p]
+    # is the catalog index chosen for position p and partials[p + 1] the
+    # sum of the aggregates picked up to it. A pick is taken back at once
+    # when even the cheapest blocks after it cannot beat the best.
     best: tuple[int, ...] | None = None
     best_picks: list[int] | None = None
-
-    def explore(pos: int, partial: tuple[int, ...]) -> None:
-        nonlocal best, best_picks
-        if best is not None:
-            lower = tuple(partial[j] + suffix_min[pos][j] for j in range(rho + 1))
-            if lower >= best:
-                return
-        if pos == len(ordered_sizes):
-            if best is None or partial < best:
+    picks: list[int] = []
+    partials = [zero]
+    nxt = 0  # the next catalog index to try at position len(picks)
+    while True:
+        catalog = catalogs[ordered_sizes[len(picks)]]
+        while nxt < len(catalog) and not take(catalog[nxt][0]):
+            nxt += 1
+        if nxt < len(catalog):
+            partial = tuple(p + a for p, a in zip(partials[-1], catalog[nxt][1]))
+            picks.append(nxt)
+            partials.append(partial)
+            pos = len(picks)
+            lower = tuple(p + s for p, s in zip(partial, suffix_min[pos]))
+            if best is None or lower < best:
+                if pos < len(ordered_sizes):
+                    # Equal sizes take subsets in non-decreasing order.
+                    if ordered_sizes[pos] != ordered_sizes[pos - 1]:
+                        nxt = 0
+                    continue
                 best = partial
                 best_picks = picks.copy()
-            return
-        size = ordered_sizes[pos]
-        catalog = catalogs[size]
-        start = 0
-        if pos > 0 and ordered_sizes[pos - 1] == size:
-            start = picks[-1]
-        for idx in range(start, len(catalog)):
-            block, agg = catalog[idx]
-            ok = True
-            taken = 0
-            for leaf in block:
-                if used.get(leaf, 0) + 1 > capacity[leaf]:
-                    ok = False
-                    break
-                used[leaf] = used.get(leaf, 0) + 1
-                taken += 1
-            if ok:
-                picks.append(idx)
-                explore(pos + 1, tuple(partial[j] + agg[j] for j in range(rho + 1)))
-                picks.pop()
-            for leaf in block[:taken]:
-                used[leaf] -= 1
+        elif not picks:
+            break
+        nxt = picks.pop()
+        partials.pop()
+        for leaf in catalogs[ordered_sizes[len(picks)]][nxt][0]:
+            used[leaf] -= 1
+        nxt += 1
 
-    explore(0, zero)
     if best is None or best_picks is None:
         raise InfeasibleError("no multi-placement satisfies the leaf capacities")
 

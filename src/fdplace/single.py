@@ -14,8 +14,12 @@ and a heavy histogram of failure numbers. A node with several unfilled
 children builds fresh histograms and picks which children take the
 extra replicas. A node with a single unfilled child extends that
 child's histograms in place by the filled children's mass, so a run of
-such nodes costs no more than its drop in mass. solve_greedy grows the
-placement one replica at a time.
+such nodes costs no more than its drop in mass. A node whose share
+leaves its unfilled children empty gets no histograms from them: one
+replica in an empty child fails just the path to its shallowest leaf,
+so a rank selection on that depth (ties by position) picks the
+children that take the extra replicas, and two sums price them all.
+solve_greedy grows the placement one replica at a time.
 
 Both recursive solvers start at a virtual root, None, whose children
 are the model's roots and which adds no entry of its own, so a forest
@@ -214,6 +218,14 @@ def _check_rho(model: FailureModel, rho: int) -> None:
         raise InfeasibleError(f"rho={rho} exceeds the {len(model.leaves)} available leaves")
 
 
+def _at(kids: list[str], positions: frozenset[int]) -> list[str]:
+    """The children at the given positions, in child order, in one pass
+    rather than a sort."""
+    if not positions:  # most labeled nodes have no filled children
+        return []
+    return [c for i, c in enumerate(kids) if i in positions]
+
+
 def _label_base(label: LabelResult) -> int:
     return label.remaining // len(label.unfilled)
 
@@ -344,26 +356,55 @@ def _divide(
         if not label.unfilled:
             continue
         base = _label_base(label)
+        if not base:
+            # The unfilled children are empty; the bottom-up pass prices
+            # them in closed form.
+            continue
         child_need = need[u] or label.heavy_count >= 1
-        for i in sorted(label.unfilled):
-            c = kids[i]
+        for c in _at(kids, label.unfilled):
+            # An unfilled child has more leaves than base, so it has
+            # children to label.
             mass[c] = base
             need[c] = child_need
-            # An unfilled child has more leaves than base, so a
-            # positive base means it has children to label.
-            if base:
-                pending.append(c)
+            pending.append(c)
     return order, mass, need, labels
 
 
-def _empty(stats: SubtreeStats, u: str, heavy: bool) -> tuple[list[int], list[int] | None]:
-    """Histograms of a subtree with no replicas, and with one replica on
-    its shallowest leaf, whose path then fails with it."""
-    nodes = stats.node_count[u]
+def _shallowest(
+    stats: SubtreeStats, unf: list[str], beta: int, heavy: bool
+) -> tuple[list[str], list[str]]:
+    """The empty children that take the extra replicas: beta of them at
+    the node's mass and beta + 1 at one more (when heavy).
+
+    One replica in an empty child goes to its shallowest leaf and fails
+    just that path, min_rel_depth + 1 nodes, so its step from light to
+    heavy is (path, -path). select_heavy would therefore pick the
+    shallowest children, ties by position; one rank selection on the
+    int keys depth * len(unf) + position finds them in linear time.
+    """
+    k = beta + 1 if heavy else beta
+    if not k:
+        return [], []
+    n = len(unf)
+    depth = stats.min_rel_depth
+    keys = [depth[c] * n + i for i, c in enumerate(unf)]
+    cut = nth_smallest(keys, k - 1)
+    picked = [key for key in keys if key <= cut]
     if not heavy:
-        return [nodes], None
-    path = stats.min_rel_depth[u] + 1
-    return [nodes, 0], [nodes - path, path]
+        return [unf[key % n] for key in picked], []
+    # Keys are distinct, so the beta cheapest are the picked ones but
+    # the rank-k key itself.
+    return [unf[key % n] for key in picked if key != cut], [unf[key % n] for key in picked]
+
+
+def _empty_hist(stats: SubtreeStats, size: int, nodes: int, picked: list[str]) -> list[int]:
+    """Histogram of empty children with nodes nodes in all, where each
+    picked child holds one replica on its shallowest leaf."""
+    path = sum(stats.min_rel_depth[c] + 1 for c in picked)
+    hist = [0] * size
+    hist[0] = nodes - path
+    hist[1] = path
+    return hist
 
 
 def _add(dst: list[int], src: list[int]) -> None:
@@ -384,22 +425,35 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # have mass + 2 slots so that siblings compare slot for slot.
     hists: dict[str | None, tuple[list[int], list[int] | None]] = {}
     choices: dict[str | None, tuple[set[int], set[int]]] = {}
+    shallow: dict[str | None, tuple[list[str], list[str]]] = {}
     for u in reversed(order):
         kids = children_of(model, u)
         label = labels[u]
         m = mass[u]
         nh = need[u]
         size = m + 2 if nh else m + 1
-        unf = [kids[i] for i in sorted(label.unfilled)]
-        kid_hists = [hists.pop(c) if mass[c] else _empty(stats, c, need[c]) for c in unf]
-        if len(kid_hists) == 1:
+        unf = _at(kids, label.unfilled)
+        if unf and not _label_base(label):
+            # Every unfilled child is empty: all its nodes sit at failure
+            # number 0 but the path to its shallowest leaf, which moves
+            # to 1 when the child is picked for an extra replica.
+            light_sel, heavy_sel = _shallowest(stats, unf, label.heavy_count, nh)
+            shallow[u] = (
+                [stats.min_depth_leaf[c] for c in light_sel],
+                [stats.min_depth_leaf[c] for c in heavy_sel],
+            )
+            nodes = sum(stats.node_count[c] for c in unf)
+            light = _empty_hist(stats, size, nodes, light_sel)
+            heavy = _empty_hist(stats, size, nodes, heavy_sel) if nh else None
+        elif len(unf) == 1:
             # The only unfilled child takes every extra replica, so its
             # lists are extended in place by the filled children's mass.
-            light, heavy = kid_hists[0]
+            light, heavy = hists.pop(unf[0])
             light.extend([0] * (size - len(light)))
             if nh:
                 heavy.extend([0] * (size - len(heavy)))
         else:
+            kid_hists = [hists.pop(c) for c in unf]
             light = [0] * size
             heavy = [0] * size if nh else None
             beta = label.heavy_count
@@ -421,7 +475,7 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 _add(light, ch if i in light_sel else cl)
                 if nh:
                     _add(heavy, ch if i in heavy_sel else cl)
-        filled = [kids[i] for i in sorted(label.filled)]
+        filled = _at(kids, label.filled)
         _fill([light, heavy] if nh else [light], model, stats, filled)
         if u is not None:
             light[m] += 1
@@ -430,19 +484,20 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
         hists[u] = (light, heavy)
 
     # Witness walk: the heavy flag goes down to the only unfilled child,
-    # or to the children chosen for it.
+    # or to the children chosen for it; an empty child chosen for it
+    # contributes its shallowest leaf.
     out: list[str] = []
     walk: list[tuple[str | None, bool]] = [(None, False)]
     while walk:
         u, hv = walk.pop()
-        if not mass[u]:
-            if hv:
-                out.append(stats.min_depth_leaf[u])
-            continue
         kids = children_of(model, u)
         label = labels[u]
-        out.extend(_leaves_below(model, [kids[i] for i in sorted(label.filled)]))
-        unf = [kids[i] for i in sorted(label.unfilled)]
+        out.extend(_leaves_below(model, _at(kids, label.filled)))
+        if u in shallow:
+            light_leaves, heavy_leaves = shallow[u]
+            out.extend(heavy_leaves if hv else light_leaves)
+            continue
+        unf = _at(kids, label.unfilled)
         if len(unf) == 1:
             walk.append((unf[0], hv))
             continue

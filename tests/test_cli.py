@@ -275,6 +275,47 @@ def test_oracles_choose_more_leaves_than_the_recursion_limit(capsys, tmp_path):
     assert multi["objective"] == solved["objective"]
 
 
+def test_oracle_multi_places_more_blocks_than_the_recursion_limit(capsys, tmp_path):
+    # One leaf of capacity 1500 and 1500 blocks of one replica: a single
+    # candidate, but one block position per pick.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"nodes": [{"id": "only", "parent": None, "capacity": 1500}]}))
+    sizes = ",".join(["1"] * 1500)
+    solved = run_json(capsys, "solve-multi", str(model), "--sizes", sizes)
+    report = run_json(capsys, "oracle-multi", str(model), "--sizes", sizes)
+    assert report["objective"] == solved["objective"] == [1500, 0]
+    assert report["witness"] == solved["witness"]
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("target", ["model", "--placement", "--blocks"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, target):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    if target == "model":
+        args = ["solve-single", str(deep), "--rho", "1"]
+    else:
+        args = ["eval", fixture_path("two_rows.json"), target, str(deep)]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON:"), err
+
+
+def test_undecodable_placements_exit_2(capsys, tmp_path):
+    model = fixture_path("two_rows.json")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"leaves": ["\xff"]}')
+    code, out, err = run_cli(capsys, "eval", model, "--placement", str(latin))
+    assert code == 2 and out == "" and "not UTF-8" in err
+    # Beyond the interpreter's digit limit for int().
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"blocks": [[' + "9" * 5000 + "]]}")
+    code, out, err = run_cli(capsys, "eval", model, "--blocks", str(huge))
+    assert code == 2 and out == "" and err.startswith("error: invalid JSON:")
+
+
 def test_threads_flag_is_refused(capsys):
     model = fixture_path("two_rows.json")
     for command, request in (("solve-single", "--rho"), ("solve-multi", "--sizes")):

@@ -387,3 +387,117 @@ def test_fast_handles_wide_star_quickly():
     expected[63] = 64
     expected[64] = leaves - 64
     assert agg.entries == tuple(expected)
+
+
+def _jittered_racks(rng, fanouts):
+    """One root over len(fanouts) levels, each node having its level's
+    fanout give or take a third; the last level holds servers of
+    capacity 1 to 3."""
+    nodes = [{"id": "dc", "parent": None}]
+    level = ["dc"]
+    for depth, fanout in enumerate(fanouts):
+        spread = fanout // 3
+        below = []
+        for parent in level:
+            for _ in range(fanout + rng.randint(-spread, spread)):
+                node = f"n{len(nodes)}"
+                entry = {"id": node, "parent": parent}
+                if depth == len(fanouts) - 1:
+                    entry["capacity"] = rng.randint(1, 3)
+                nodes.append(entry)
+                below.append(node)
+        level = below
+    return parse_model(json.dumps({"nodes": nodes}))
+
+
+def _uneven_depths(prefix, parent, branches, rng):
+    """Children of parent whose shallowest leaves sit 1 to 3 levels below
+    them, often at equal depths: each child heads a path over a small
+    star and sometimes a second, shorter or longer, path to one leaf."""
+    spec = []
+    for b in range(branches):
+        head = f"{prefix}{b}"
+        spec.append((head, parent, False))
+        run, bottom = _path(f"{head}p", head, rng.randint(0, 2))
+        spec += run + _star(f"{head}s", bottom, rng.randint(1, 3))
+        if rng.random() < 0.4:
+            run, bottom = _path(f"{head}q", head, rng.randint(0, 2))
+            spec += run + _star(f"{head}t", bottom, 1)
+    return spec
+
+
+def _mostly_empty_models():
+    rng = random.Random(77)
+    models = [
+        _build([("hub", None, False)] + _star("s", "hub", n)) for n in (1, 2, 3, 5, 8, 13, 37, 200)
+    ]
+    for fanouts in ((5,), (3, 4), (4, 6), (2, 3, 3), (3, 2, 4)):
+        models.append(_jittered_racks(rng, fanouts))
+    for branches in (2, 3, 5, 8):
+        models.append(_build([("r", None, False)] + _uneven_depths("u", "r", branches, rng)))
+    # The same below a split, so empty children sit under labeled nodes
+    # that are not the root.
+    spec = [("r", None, False)]
+    for g in range(3):
+        spec.append((f"g{g}", "r", False))
+        spec += _uneven_depths(f"g{g}u", f"g{g}", rng.randint(2, 4), rng)
+    models.append(_build(spec))
+    # Forests of stars, beside a bare leaf or an uneven subtree.
+    for trial in range(5):
+        spec = []
+        for r in range(rng.randint(2, 4)):
+            root = f"f{r}"
+            kind = rng.randrange(3)
+            if kind == 0:
+                spec += [(root, None, False)] + _star(f"{root}s", root, rng.randint(1, 6))
+            elif kind == 1:
+                spec.append((root, None, True))
+            else:
+                spec += [(root, None, False)] + _uneven_depths(f"{root}u", root, 2, rng)
+        models.append(_build(spec))
+    return models
+
+
+def test_empty_siblings_match_basic_and_oracle():
+    # Most unfilled children take no replica at their parent's share, so
+    # solve_fast prices them by their shallowest leaf alone; the witness
+    # must be basic's too, position tie-break included.
+    for model in _mostly_empty_models():
+        n = len(model.leaves)
+        for rho in range(1, n + 1):
+            agg, placement = solve_fast(model, rho)
+            ref, ref_placement = solve_basic(model, rho)
+            assert (agg, placement) == (ref, ref_placement), (n, rho)
+            if n <= 14:
+                best, _ = oracle_single(model, rho)
+                assert agg.entries == best.entries, (n, rho)
+            assert failure_aggregate(model, placement, rho).entries == agg.entries
+            assert check_balanced(model, placement) == []
+
+
+def test_empty_siblings_rank_by_depth_then_position():
+    # Children a and c reach a leaf one level down, b and d two levels
+    # down; three replicas take a, c and then b, the first of the deeper.
+    spec = [("r", None, False)]
+    for name, depth in (("a", 0), ("b", 1), ("c", 0), ("d", 1)):
+        spec.append((name, "r", False))
+        run, bottom = _path(f"{name}p", name, depth)
+        spec += run + _star(f"{name}s", bottom, 2)
+    model = _build(spec)
+    _agg, placement = solve_fast(model, 3)
+    assert placement.leaves == {"as0", "cs0", "bs0"}
+
+
+def test_fast_prices_empty_siblings_without_select_heavy(monkeypatch):
+    calls = []
+
+    def counting(pairs, beta):
+        calls.append(beta)
+        return select_heavy(pairs, beta)
+
+    monkeypatch.setattr("fdplace.single.select_heavy", counting)
+    model = _build([("hub", None, False)] + _star("s", "hub", 30_000))
+    agg, placement = solve_fast(model, 64)
+    assert calls == []
+    assert placement.leaves == {f"s{i}" for i in range(64)}
+    assert agg.entries[63:] == (64, 30_000 - 64)
