@@ -13,10 +13,12 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .errors import GuardLimitError, InfeasibleError, ModelError, SkewOverrideError
 from .generate import random_model
 from .metrics import (
+    MultiPlacement,
     failure_aggregate,
     multi_aggregate,
     parse_multi_placement,
@@ -66,18 +68,15 @@ def _emit(report: dict) -> None:
     print(json.dumps(report))
 
 
-def _report(
-    command: str,
-    digest: str,
-    objective,
-    witness,
-    started: float,
-    algorithm: str,
-) -> dict:
+def _report(command: str, digest: str, agg, found, started: float, algorithm: str) -> dict:
+    if isinstance(found, MultiPlacement):
+        witness = {"blocks": [sorted(block) for block in found.blocks]}
+    else:
+        witness = {"leaves": sorted(found.leaves)}
     return {
         "command": command,
         "model_digest": digest,
-        "objective": list(objective),
+        "objective": list(agg.entries),
         "witness": witness,
         "wall_time_ms": int(round((time.perf_counter() - started) * 1000)),
         "algorithm": algorithm,
@@ -89,14 +88,7 @@ def _cmd_solve_single(args: argparse.Namespace) -> int:
     solvers = {"basic": solve_basic, "fast": solve_fast, "greedy": solve_greedy}
     started = time.perf_counter()
     agg, placement = solvers[args.algorithm](model, args.rho)
-    report = _report(
-        "solve-single",
-        digest,
-        agg.entries,
-        {"leaves": sorted(placement.leaves)},
-        started,
-        args.algorithm,
-    )
+    report = _report("solve-single", digest, agg, placement, started, args.algorithm)
     print(f"objective {agg}", file=sys.stderr)
     _emit(report)
     return 0
@@ -107,14 +99,7 @@ def _cmd_solve_multi(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
     started = time.perf_counter()
     agg, mp = solve_multi(model, sizes, skew=args.skew)
-    report = _report(
-        "solve-multi",
-        digest,
-        agg.entries,
-        {"blocks": [sorted(block) for block in mp.blocks]},
-        started,
-        "dp",
-    )
+    report = _report("solve-multi", digest, agg, mp, started, "dp")
     print(f"objective {agg}", file=sys.stderr)
     _emit(report)
     return 0
@@ -126,21 +111,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ModelError("eval needs exactly one of --placement or --blocks")
     started = time.perf_counter()
     if args.placement is not None:
-        placement = parse_placement(_read_text(args.placement))
-        if args.rho is not None and args.rho > len(model.leaves):
-            raise ModelError(
-                f"rho={args.rho} exceeds the {len(model.leaves)} leaves of the model"
-            )
-        rho = args.rho if args.rho is not None else len(placement.leaves)
-        agg = failure_aggregate(model, placement, rho)
-        witness = {"leaves": sorted(placement.leaves)}
+        found = parse_placement(_read_text(args.placement))
+        leaves = model.tree.leaf_total
+        if args.rho is not None and args.rho > leaves:
+            raise ModelError(f"rho={args.rho} exceeds the {leaves} leaves of the model")
+        rho = args.rho if args.rho is not None else len(found.leaves)
+        agg = failure_aggregate(model, found, rho)
     else:
         if args.rho is not None:
             raise ModelError("--rho applies only to --placement")
-        mp = parse_multi_placement(_read_text(args.blocks))
-        agg = multi_aggregate(model, mp)
-        witness = {"blocks": [sorted(block) for block in mp.blocks]}
-    report = _report("eval", digest, agg.entries, witness, started, "eval")
+        found = parse_multi_placement(_read_text(args.blocks))
+        agg = multi_aggregate(model, found)
+    report = _report("eval", digest, agg, found, started, "eval")
     print(f"objective {agg}", file=sys.stderr)
     _emit(report)
     return 0
@@ -150,21 +132,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     model, _digest = _load_model(args.model)
     placement = parse_placement(_read_text(args.placement))
     violations = check_balanced(model, placement)
-    _emit(
-        {
-            "balanced": not violations,
-            "violations": [
-                {
-                    "node": v.node,
-                    "light_child": v.light_child,
-                    "heavy_child": v.heavy_child,
-                    "light_count": v.light_count,
-                    "heavy_count": v.heavy_count,
-                }
-                for v in violations
-            ],
-        }
-    )
+    _emit({"balanced": not violations, "violations": [asdict(v) for v in violations]})
     return 0
 
 
@@ -173,15 +141,7 @@ def _cmd_oracle_single(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     agg, optima = oracle_single(model, args.rho, guard=args.guard)
     print(f"{len(optima)} optimal placements", file=sys.stderr)
-    report = _report(
-        "oracle-single",
-        digest,
-        agg.entries,
-        {"leaves": sorted(optima[0].leaves)},
-        started,
-        "oracle-single",
-    )
-    _emit(report)
+    _emit(_report("oracle-single", digest, agg, optima[0], started, "oracle-single"))
     return 0
 
 
@@ -190,15 +150,7 @@ def _cmd_oracle_multi(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
     started = time.perf_counter()
     agg, mp = oracle_multi(model, sizes, guard=args.guard)
-    report = _report(
-        "oracle-multi",
-        digest,
-        agg.entries,
-        {"blocks": [sorted(block) for block in mp.blocks]},
-        started,
-        "oracle-multi",
-    )
-    _emit(report)
+    _emit(_report("oracle-multi", digest, agg, mp, started, "oracle-multi"))
     return 0
 
 
@@ -215,8 +167,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ModelError(str(exc)) from exc
     text = render_model(model)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelError(f"cannot write model file: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import random
 
-from .model import FailureModel, parse_model
+from .model import FailureModel, Node
 
 
 def random_model(
@@ -19,7 +18,8 @@ def random_model(
 
     The same arguments always produce the same model. Occasional
     pass-through domains (one internal node wrapping another) are
-    inserted so chain handling gets exercised.
+    inserted so chain handling gets exercised. The model compiles on
+    first use, like one built by hand.
     """
     if leaves < 1:
         raise ValueError(f"need at least one leaf, got {leaves}")
@@ -31,7 +31,7 @@ def random_model(
         raise ValueError(f"max_capacity must be at least 1, got {max_capacity}")
 
     rng = random.Random(seed)
-    entries: list[dict] = []
+    nodes: dict[str, Node] = {}
     counts = {"domain": 0, "server": 0}
 
     def split(count: int, parts: int) -> list[int]:
@@ -54,19 +54,17 @@ def random_model(
         while rng.random() < 0.15:
             counts["domain"] += 1
             name = f"d{counts['domain']}"
-            entries.append({"id": name, "parent": parent})
+            nodes[name] = Node(name, parent, None)
             parent = name
         if count == 1:
             counts["server"] += 1
             name = f"s{counts['server']}"
-            entries.append(
-                {"id": name, "parent": parent, "capacity": rng.randint(1, max_capacity)}
-            )
+            nodes[name] = Node(name, parent, rng.randint(1, max_capacity))
             continue
         counts["domain"] += 1
         name = f"d{counts['domain']}"
-        entries.append({"id": name, "parent": parent})
+        nodes[name] = Node(name, parent, None)
         fanout = rng.randint(2, min(max_fanout, count))
         for part in reversed(split(count, fanout)):
             stack.append((part, name))
-    return parse_model(json.dumps({"nodes": entries}))
+    return FailureModel(nodes=nodes)

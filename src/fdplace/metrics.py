@@ -10,10 +10,12 @@ failure counts.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .model import FailureModel, ancestors, decode_json, postorder
+from .model import FailureModel, Tree, decode_json, postorder
 
 
 @dataclass(frozen=True)
@@ -108,30 +110,52 @@ def parse_multi_placement(text: str) -> MultiPlacement:
     return MultiPlacement(blocks=tuple(blocks))
 
 
-def _check_leaves(model: FailureModel, leaves: frozenset[str]) -> None:
+def _leaf_indices(tree: Tree, leaves: Iterable[str]) -> list[int]:
+    """The tree indices of placed leaves, refusing anything else."""
+    index, capacity = tree.index, tree.capacity
+    out = []
     for leaf in leaves:
-        if leaf not in model.nodes:
+        u = index.get(leaf)
+        if u is None:
             raise ModelError(f"placement names unknown node {leaf!r}")
-        if not model.is_leaf(leaf):
+        if not capacity[u]:
             raise ModelError(f"placement names internal node {leaf!r}")
+        out.append(u)
+    return out
+
+
+def _counts(tree: Tree, leaves: list[int]) -> dict[int, int]:
+    """The failure number of every node that has one: each placed leaf
+    counts once on every node from itself up to its root."""
+    fn: dict[int, int] = {}
+    for leaf in leaves:
+        for u in tree.up(leaf):
+            fn[u] = fn.get(u, 0) + 1
+    return fn
+
+
+def _aggregate(tree: Tree, leaves: list[int], entries: list[int]) -> None:
+    """Add the aggregate of the placed leaves, at girth len(entries) - 1."""
+    rho = len(entries) - 1
+    counts = _counts(tree, leaves)
+    entries[rho] += len(tree.ids) - len(counts)
+    for value in counts.values():
+        entries[rho - value] += 1
 
 
 def failure_number(model: FailureModel, node_id: str, placement: Placement) -> int:
     """Count placement leaves inside the subtree of node_id."""
-    if node_id not in model.nodes:
+    if node_id not in model.tree.index:
         raise ModelError(f"unknown node {node_id!r}")
-    _check_leaves(model, placement.leaves)
-    return sum(node_id in ancestors(model, leaf) for leaf in placement.leaves)
+    return failure_numbers(model, placement)[node_id]
 
 
 def failure_numbers(model: FailureModel, placement: Placement) -> dict[str, int]:
-    """Failure number of every node: each placed leaf counts once on
-    every node from itself up to its root."""
-    _check_leaves(model, placement.leaves)
-    fn = dict.fromkeys(model.nodes, 0)
-    for leaf in placement.leaves:
-        for node_id in ancestors(model, leaf):
-            fn[node_id] += 1
+    """Failure number of every node, keyed by id."""
+    tree = model.tree
+    fn = dict.fromkeys(tree.ids, 0)
+    for u, value in _counts(tree, _leaf_indices(tree, placement.leaves)).items():
+        fn[tree.ids[u]] = value
     return fn
 
 
@@ -140,31 +164,25 @@ def failure_aggregate(model: FailureModel, placement: Placement, rho: int) -> Fa
         raise ModelError(
             f"rho={rho} is smaller than the placement size {len(placement.leaves)}"
         )
-    fn = failure_numbers(model, placement)
     entries = [0] * (rho + 1)
-    for value in fn.values():
-        entries[rho - value] += 1
+    _aggregate(model.tree, _leaf_indices(model.tree, placement.leaves), entries)
     return FailureAggregate(entries=tuple(entries), rho=rho)
 
 
 def multi_aggregate(model: FailureModel, mp: MultiPlacement) -> FailureAggregate:
     """Sum of per-block aggregates, all padded to the girth."""
     rho = mp.girth()
-    counts: dict[str, int] = {}
-    for block in mp.blocks:
-        _check_leaves(model, block)
-        for leaf in block:
-            counts[leaf] = counts.get(leaf, 0) + 1
-    for leaf, used in counts.items():
-        if used > model.capacity(leaf):
+    tree = model.tree
+    blocks = [_leaf_indices(tree, block) for block in mp.blocks]
+    for leaf, used in Counter(leaf for block in blocks for leaf in block).items():
+        cap = tree.capacity[leaf]
+        if used > cap:
             raise ModelError(
-                f"leaf {leaf!r} holds {used} replicas but has capacity {model.capacity(leaf)}"
+                f"leaf {tree.ids[leaf]!r} holds {used} replicas but has capacity {cap}"
             )
     entries = [0] * (rho + 1)
-    for block in mp.blocks:
-        agg = failure_aggregate(model, Placement(leaves=block), rho)
-        for i, v in enumerate(agg.entries):
-            entries[i] += v
+    for block in blocks:
+        _aggregate(tree, block, entries)
     return FailureAggregate(entries=tuple(entries), rho=rho)
 
 
@@ -175,10 +193,10 @@ def sub_signature(model: FailureModel, mp: MultiPlacement, node_id: str) -> Sign
     subtree, where rho is the girth of the full multi-placement, so
     sub-signatures of different nodes stay comparable.
     """
-    if node_id not in model.nodes:
+    if node_id not in model.tree.index:
         raise ModelError(f"unknown node {node_id!r}")
     rho = mp.girth()
-    below = {w for w in postorder(model, [node_id]) if not model.children[w]}
+    below = {w for w in postorder(model, [node_id]) if model.is_leaf(w)}
     entries = [0] * (rho + 1)
     for block in mp.blocks:
         inside = len(block & below)
@@ -231,23 +249,20 @@ def path_aggregate(
 ) -> FailureAggregate:
     """Aggregate restricted to the nodes on the path from_node -> to_node
     (both inclusive). to_node must be a descendant of from_node."""
-    if from_node not in model.nodes:
-        raise ModelError(f"unknown node {from_node!r}")
-    if to_node not in model.nodes:
-        raise ModelError(f"unknown node {to_node!r}")
+    tree = model.tree
+    for node_id in (from_node, to_node):
+        if node_id not in tree.index:
+            raise ModelError(f"unknown node {node_id!r}")
     if rho < len(placement.leaves):
         raise ModelError(
             f"rho={rho} is smaller than the placement size {len(placement.leaves)}"
         )
-    path = []
-    for node_id in ancestors(model, to_node):
-        path.append(node_id)
-        if node_id == from_node:
-            break
-    else:
+    path = tree.up(tree.index[to_node])
+    start = tree.index[from_node]
+    if start not in path:
         raise ModelError(f"{to_node!r} is not a descendant of {from_node!r}")
-    fn = failure_numbers(model, placement)
+    counts = _counts(tree, _leaf_indices(tree, placement.leaves))
     entries = [0] * (rho + 1)
-    for node_id in path:
-        entries[rho - fn[node_id]] += 1
+    for u in path[: path.index(start) + 1]:
+        entries[rho - counts.get(u, 0)] += 1
     return FailureAggregate(entries=tuple(entries), rho=rho)

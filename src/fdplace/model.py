@@ -11,21 +11,24 @@ positive replica capacity. The JSON wire format is::
 Exactly the leaves carry "capacity". Node order in the file is
 preserved and used as the child order everywhere downstream.
 
-This module holds the only tree walks: postorder walks the forest or
-chosen subtrees, children first, and ancestors walks a node up to its
-root. children_of treats None as a virtual root whose children are
-the model's roots. subtree_stats prepares the tree for a solve in one
-postorder pass: for every node, the leaf and node counts of its
-subtree and its shallowest leaf with that leaf's depth below the node.
+parse_model validates the entries and compiles them into a Tree, flat
+lists indexed by file position, which the solvers work on. The id-keyed
+surface (nodes, children, roots, leaves, subtree_stats, postorder,
+ancestors, children_of) is derived from the tree on first use.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import eq, lt
 
 from .errors import ModelError
+
+FIELDS = frozenset(("id", "parent", "capacity"))
 
 
 @dataclass(frozen=True)
@@ -39,21 +42,179 @@ class Node:
         return "internal-event" if self.capacity is None else "leaf-server"
 
 
-@dataclass
-class FailureModel:
-    """Validated forest with derived lookup tables."""
+@dataclass(eq=False)
+class Tree:
+    """The compiled model. Node i is the i-th node in file order; node
+    n = root is a virtual root whose children are the model's roots, so
+    a solver can treat a forest as one tree. parent[u] is n for a root,
+    capacity[u] is 0 on internal nodes, and u's children, in file order,
+    are kids[first[u]:first[u + 1]]. bottom_up lists the real nodes,
+    each after all of its descendants. Per node, n included: leaf_count
+    and node_count count its subtree's leaves and nodes (n not counting
+    itself); its shallowest leaf is min_depth_leaf (first in child order
+    on ties), min_rel_depth below it.
+    """
 
-    nodes: dict[str, Node]
-    roots: list[str] = field(default_factory=list)
-    children: dict[str, list[str]] = field(default_factory=dict)
-    leaves: list[str] = field(default_factory=list)
+    ids: list[str]
+    index: dict[str, int]
+    parent: list[int]
+    capacity: list[int]
+    first: list[int]
+    kids: list[int]
+    bottom_up: Sequence[int]
+    leaf_count: list[int]
+    node_count: list[int]
+    min_rel_depth: list[int]
+    min_depth_leaf: list[int]
+
+    @property
+    def root(self) -> int:
+        return len(self.ids)
+
+    @property
+    def leaf_total(self) -> int:
+        return self.leaf_count[len(self.ids)]
+
+    def children(self, u: int) -> list[int]:
+        return self.kids[self.first[u] : self.first[u + 1]]
+
+    def walk(self, starts: Sequence[int]) -> list[int]:
+        """The subtrees of starts, parents first: a preorder that visits
+        children last to first, so reversed it is a postorder."""
+        first, kids = self.first, self.kids
+        order: list[int] = []
+        stack = list(starts)
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(kids[first[u] : first[u + 1]])
+        return order
+
+    def up(self, u: int) -> list[int]:
+        """u, then its parent, and so on up to its root."""
+        parent, top = self.parent, len(self.ids)
+        path = []
+        while u != top:
+            path.append(u)
+            u = parent[u]
+        return path
+
+
+def _compile(ids: list[str], index: dict[str, int], parents: list, capacity: list[int]) -> Tree:
+    """Link, check and summarize nodes given in file order: parents
+    holds parent ids, capacity 0 marks an internal node."""
+    n = len(ids)
+    parent = [n if p is None else index.get(p, -1) for p in parents]
+    if -1 in parent:
+        u = parent.index(-1)
+        raise ModelError(f"node {ids[u]!r} has unknown parent {parents[u]!r}")
+
+    counts = [0] * (n + 1)
+    for p in parent:
+        counts[p] += 1
+    if any(map(eq, map(bool, capacity), map(bool, counts))):
+        for u in range(n):
+            if capacity[u] and counts[u]:
+                raise ModelError(f"leaf {ids[u]!r} has capacity but also children")
+            if not capacity[u] and not counts[u]:
+                raise ModelError(f"childless node {ids[u]!r} has no capacity")
+    first = list(accumulate(counts, initial=0))
+    kids = sorted(range(n), key=parent.__getitem__)
+
+    # Reverse file order is bottom up when every parent precedes its
+    # children, as in every generated or rendered file; then parent
+    # links cannot cycle either. Otherwise a walk from the roots orders
+    # the nodes, and whatever it cannot reach lies on a parent cycle.
+    bottom_up: Sequence[int]
+    if sum(map(lt, parent, range(n))) == n - counts[n]:
+        bottom_up = range(n - 1, -1, -1)
+    else:
+        order: list[int] = []
+        stack = kids[first[n] :][::-1]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(kids[first[u] : first[u + 1]]))
+        if len(order) != n:
+            raise ModelError("model contains a parent cycle unreachable from any root")
+        order.reverse()
+        bottom_up = order
+
+    # Later siblings come first either way, so `<=` hands ties to the
+    # first child.
+    leaf_count = [1 if c else 0 for c in capacity] + [0]
+    node_count = [1] * n + [0]
+    depth = [0 if c else n for c in capacity] + [n]
+    best = list(range(n + 1))
+    for u in bottom_up:
+        p = parent[u]
+        leaf_count[p] += leaf_count[u]
+        node_count[p] += node_count[u]
+        d = depth[u] + 1
+        if d <= depth[p]:
+            depth[p] = d
+            best[p] = best[u]
+    return Tree(
+        ids, index, parent, capacity, first, kids, bottom_up, leaf_count, node_count, depth, best
+    )
+
+
+class FailureModel:
+    """A validated forest: a compiled Tree with id-keyed views.
+
+    parse_model builds the tree and each view is derived from it on
+    first access. A model built by hand from nodes (roots, children and
+    leaves optional, and kept as given) compiles from nodes on first
+    use, with nodes' order as the file order.
+    """
+
+    def __init__(
+        self,
+        nodes: dict[str, Node] | None = None,
+        roots: list[str] | None = None,
+        children: dict[str, list[str]] | None = None,
+        leaves: list[str] | None = None,
+        *,
+        tree: Tree | None = None,
+    ) -> None:
+        if nodes is None and tree is None:
+            raise TypeError("a model needs nodes or a tree")
+        given = dict(nodes=nodes, roots=roots, children=children, leaves=leaves, tree=tree)
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+
+    @cached_property
+    def tree(self) -> Tree:
+        ids, nodes = list(self.nodes), self.nodes.values()
+        index = dict(zip(ids, range(len(ids))))
+        return _compile(ids, index, [v.parent for v in nodes], [v.capacity or 0 for v in nodes])
+
+    @cached_property
+    def nodes(self) -> dict[str, Node]:
+        t = self.tree
+        ids = t.ids + [None]  # a root's parent, n, maps to None
+        return {u: Node(u, ids[p], c or None) for u, p, c in zip(ids, t.parent, t.capacity)}
+
+    @cached_property
+    def roots(self) -> list[str]:
+        ids = self.tree.ids
+        return [ids[u] for u in self.tree.children(len(ids))]
+
+    @cached_property
+    def children(self) -> dict[str, list[str]]:
+        t = self.tree
+        kids = [t.ids[c] for c in t.kids]
+        return {u: kids[t.first[i] : t.first[i + 1]] for i, u in enumerate(t.ids)}
+
+    @cached_property
+    def leaves(self) -> list[str]:
+        return [u for u, c in zip(self.tree.ids, self.tree.capacity) if c]
 
     def is_leaf(self, node_id: str) -> bool:
-        return self.nodes[node_id].capacity is not None
+        return self.tree.capacity[self.tree.index[node_id]] > 0
 
     def capacity(self, node_id: str) -> int:
-        cap = self.nodes[node_id].capacity
-        if cap is None:
+        cap = self.tree.capacity[self.tree.index[node_id]]
+        if not cap:
             raise ModelError(f"node {node_id!r} is not a leaf")
         return cap
 
@@ -61,35 +222,10 @@ class FailureModel:
         return self.nodes[node_id].parent
 
     def node_ids(self) -> list[str]:
-        return list(self.nodes)
+        return list(self.tree.ids)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def _check_node_entry(entry: object, seen: dict[str, Node]) -> Node:
-    if not isinstance(entry, dict):
-        raise ModelError(f"node entry must be an object, got {type(entry).__name__}")
-    unknown = set(entry) - {"id", "parent", "capacity"}
-    if unknown:
-        raise ModelError(f"unknown node fields: {sorted(unknown)}")
-    node_id = entry.get("id")
-    if not isinstance(node_id, str) or not node_id:
-        raise ModelError(f"node id must be a non-empty string, got {node_id!r}")
-    if node_id in seen:
-        raise ModelError(f"duplicate node id {node_id!r}")
-    parent = entry.get("parent")
-    if parent is not None and not isinstance(parent, str):
-        raise ModelError(f"parent of {node_id!r} must be a string or null")
-    if parent == node_id:
-        raise ModelError(f"node {node_id!r} is its own parent")
-    capacity = entry.get("capacity")
-    if capacity is not None:
-        if isinstance(capacity, bool) or not isinstance(capacity, int):
-            raise ModelError(f"capacity of {node_id!r} must be an integer")
-        if capacity < 1:
-            raise ModelError(f"capacity of {node_id!r} must be positive")
-    return Node(id=node_id, parent=parent, capacity=capacity)
+        return len(self.tree.ids)
 
 
 def decode_json(text: str) -> object:
@@ -103,13 +239,21 @@ def decode_json(text: str) -> object:
 
 
 def parse_model(text: str) -> FailureModel:
-    """Parse and validate the JSON wire format.
+    """Parse, validate and compile the JSON wire format.
 
     Raises ModelError for structural problems: duplicate ids, unknown
     parents, capacity on an internal node or missing on a leaf, parent
-    cycles, or an empty model.
+    cycles, or an empty model. The first problem in file order is
+    reported, entry checks first, then parents, leaves and cycles.
     """
-    doc = decode_json(text)
+    # The decoded document is freed before the tree is compiled.
+    return FailureModel(tree=_compile(*_entries(decode_json(text))))
+
+
+def _entries(doc: object) -> tuple[list[str], dict[str, int], list[str | None], list[int]]:
+    """Check the document and its node entries one by one, in file
+    order; returns their ids, an id -> position index, their parent ids
+    and their capacities (0 for none)."""
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ModelError('model document must be an object with a "nodes" array')
     raw_nodes = doc["nodes"]
@@ -118,41 +262,36 @@ def parse_model(text: str) -> FailureModel:
     if not raw_nodes:
         raise ModelError("model has no nodes")
 
-    nodes: dict[str, Node] = {}
-    for entry in raw_nodes:
-        node = _check_node_entry(entry, nodes)
-        nodes[node.id] = node
-
-    children: dict[str, list[str]] = {node_id: [] for node_id in nodes}
-    roots: list[str] = []
-    for node in nodes.values():
-        if node.parent is None:
-            roots.append(node.id)
-        else:
-            if node.parent not in nodes:
-                raise ModelError(f"node {node.id!r} has unknown parent {node.parent!r}")
-            children[node.parent].append(node.id)
-
-    for node in nodes.values():
-        if node.capacity is not None and children[node.id]:
-            raise ModelError(f"leaf {node.id!r} has capacity but also children")
-        if node.capacity is None and not children[node.id]:
-            raise ModelError(f"childless node {node.id!r} has no capacity")
-
-    # Parent links could still form a cycle detached from every root.
-    # Everything a root can reach is acyclic (each node has one parent),
-    # so a full reachability sweep doubles as the cycle check.
-    reached = 0
-    stack = list(roots)
-    while stack:
-        node_id = stack.pop()
-        reached += 1
-        stack.extend(children[node_id])
-    if reached != len(nodes):
-        raise ModelError("model contains a parent cycle unreachable from any root")
-
-    leaves = [node.id for node in nodes.values() if node.capacity is not None]
-    return FailureModel(nodes=nodes, roots=roots, children=children, leaves=leaves)
+    ids: list[str] = []
+    index: dict[str, int] = {}
+    parents: list[str | None] = []
+    capacity: list[int] = []
+    for i, entry in enumerate(raw_nodes):
+        if not isinstance(entry, dict):
+            raise ModelError(f"node entry must be an object, got {type(entry).__name__}")
+        if not entry.keys() <= FIELDS:
+            raise ModelError(f"unknown node fields: {sorted(entry.keys() - FIELDS)}")
+        node_id = entry.get("id")
+        if not isinstance(node_id, str) or not node_id:
+            raise ModelError(f"node id must be a non-empty string, got {node_id!r}")
+        if node_id in index:
+            raise ModelError(f"duplicate node id {node_id!r}")
+        parent = entry.get("parent")
+        if parent is not None and not isinstance(parent, str):
+            raise ModelError(f"parent of {node_id!r} must be a string or null")
+        if parent == node_id:
+            raise ModelError(f"node {node_id!r} is its own parent")
+        cap = entry.get("capacity")
+        if cap is not None:
+            if isinstance(cap, bool) or not isinstance(cap, int):
+                raise ModelError(f"capacity of {node_id!r} must be an integer")
+            if cap < 1:
+                raise ModelError(f"capacity of {node_id!r} must be positive")
+        index[node_id] = i
+        ids.append(node_id)
+        parents.append(parent)
+        capacity.append(cap or 0)
+    return ids, index, parents, capacity
 
 
 def render_model(model: FailureModel) -> str:
@@ -168,14 +307,7 @@ def render_model(model: FailureModel) -> str:
 
 @dataclass
 class SubtreeStats:
-    """The prepared tree: per-node subtree summaries, keyed by node id.
-
-    leaf_count and node_count count the leaves and the nodes of each
-    subtree. min_rel_depth is how far below the node its shallowest
-    leaf sits, and min_depth_leaf names that leaf (first in child order
-    on ties). Siblings share a depth, so the shallowest leaf relative
-    to a node is also the shallowest in absolute depth.
-    """
+    """The tree's subtree summaries (see Tree), keyed by node id."""
 
     leaf_count: dict[str, int]
     node_count: dict[str, int]
@@ -184,64 +316,34 @@ class SubtreeStats:
 
 
 def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[str]:
-    """Iterative postorder over the forest (children before parents).
-
-    With starts, only the subtrees of those nodes are walked. Built as
-    a preorder that visits children last to first, then reversed.
-    """
-    children = model.children
-    order: list[str] = []
-    stack = list(starts if starts is not None else model.roots)
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        stack.extend(children[node_id])
-    order.reverse()
-    return order
+    """The forest's nodes, children before parents and in child order.
+    With starts, only the subtrees of those nodes, in that order."""
+    t = model.tree
+    ids = t.ids
+    top = t.children(t.root) if starts is None else [t.index[s] for s in starts]
+    return [ids[u] for u in reversed(t.walk(top))]
 
 
 def children_of(model: FailureModel, node_id: str | None) -> list[str]:
     """Children of node_id; None is a virtual root whose children are
-    the model's roots, so a solver can treat a forest as one tree."""
+    the model's roots."""
     return model.roots if node_id is None else model.children[node_id]
 
 
 def ancestors(model: FailureModel, node_id: str) -> Iterator[str]:
     """Yield node_id, then its parent, and so on up to its root."""
-    nodes = model.nodes
-    cursor: str | None = node_id
-    while cursor is not None:
-        yield cursor
-        cursor = nodes[cursor].parent
+    t = model.tree
+    for u in t.up(t.index[node_id]):
+        yield t.ids[u]
 
 
 def subtree_stats(model: FailureModel) -> SubtreeStats:
-    """Prepare the tree in one postorder pass."""
-    children = model.children
-    leaf_count: dict[str, int] = {}
-    node_count: dict[str, int] = {}
-    min_rel_depth: dict[str, int] = {}
-    min_depth_leaf: dict[str, str] = {}
-    for u in postorder(model):
-        kids = children[u]
-        if not kids:
-            leaf_count[u] = 1
-            node_count[u] = 1
-            min_rel_depth[u] = 0
-            min_depth_leaf[u] = u
-            continue
-        leaves = 0
-        count = 1
-        best = kids[0]
-        depth = min_rel_depth[best]
-        for c in kids:
-            leaves += leaf_count[c]
-            count += node_count[c]
-            if min_rel_depth[c] < depth:
-                best = c
-                depth = min_rel_depth[c]
-        leaf_count[u] = leaves
-        node_count[u] = count
-        min_rel_depth[u] = depth + 1
-        min_depth_leaf[u] = min_depth_leaf[best]
-    return SubtreeStats(leaf_count, node_count, min_rel_depth, min_depth_leaf)
+    """The compiled subtree summaries, keyed by node id."""
+    t = model.tree
+    ids = t.ids
+    return SubtreeStats(
+        dict(zip(ids, t.leaf_count)),
+        dict(zip(ids, t.node_count)),
+        dict(zip(ids, t.min_rel_depth)),
+        {u: ids[b] for u, b in zip(ids, t.min_depth_leaf)},
+    )

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
-# subtree_stats is not called here, but bench/tracer.py wraps this binding.
-from .model import FailureModel, children_of, postorder, subtree_stats  # noqa: F401
+# postorder and subtree_stats are not called here, but bench/tracer.py
+# wraps these bindings.
+from .model import FailureModel, postorder, subtree_stats  # noqa: F401
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
@@ -288,11 +289,13 @@ def solve_multi(
         delta = min(natural, rho)
 
     # Both checks run before anything of length rho is allocated.
-    if rho > len(model.leaves):
+    tree = model.tree
+    top, capacity = tree.root, tree.capacity
+    if rho > tree.leaf_total:
         raise InfeasibleError(
-            f"block size {rho} exceeds the {len(model.leaves)} available leaves"
+            f"block size {rho} exceeds the {tree.leaf_total} available leaves"
         )
-    total_capacity = sum(model.capacity(leaf) for leaf in model.leaves)
+    total_capacity = sum(capacity)
     if sum(sizes) > total_capacity:
         raise InfeasibleError(
             f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
@@ -300,8 +303,8 @@ def solve_multi(
     target, _ = target_signature(sizes)
 
     # Every aggregate digit counts (node, block) pairs, the virtual
-    # root of a forest included, so m * (nodes + 1) bounds it.
-    kernel = MergeKernel(rho, delta, (m * (len(model.nodes) + 1)).bit_length())
+    # root included, so m * (nodes + 1) bounds it.
+    kernel = MergeKernel(rho, delta, (m * (top + 1)).bit_length())
     packed, merge_rows = kernel.packed, kernel.merge_rows
 
     # A table lists (census id, packed aggregate) in census order, so
@@ -309,8 +312,8 @@ def solve_multi(
     # subtrees give equal tables, so merges are memoized on their inputs.
     Table = tuple[tuple[int, int], ...]
     Pick = dict[int, tuple[int, int]]
-    tables: dict[str, Table] = {}
-    picks: dict[tuple[str | None, int], Pick] = {}
+    tables: dict[int, Table] = {}
+    picks: dict[tuple[int, int], Pick] = {}
     leaf_tables: dict[int, Table] = {}
     memo: dict[tuple[Table, Table], tuple[Table, Pick]] = {}
 
@@ -338,19 +341,18 @@ def solve_multi(
         done = memo[(left, right)] = (table, pick)
         return done
 
-    def fold(key: str | None, kids: list[str]) -> Table:
+    def fold(key: int, kids: list[int]) -> Table:
         acc = tuple((sid, val + packed[sid]) for sid, val in tables.pop(kids[0]))
         for k in range(2, len(kids) + 1):
             acc, picks[(key, k)] = merge_tables(acc, tables.pop(kids[k - 1]))
         return acc
 
-    order = postorder(model)
-    for u in order:
-        kids = model.children[u]
+    for u in tree.bottom_up:
+        kids = tree.children(u)
         if kids:
             tables[u] = fold(u, kids)
             continue
-        ones_max = min(model.capacity(u), m)
+        ones_max = min(capacity[u], m)
         table = leaf_tables.get(ones_max)
         if table is None:
             rows = []
@@ -363,30 +365,25 @@ def solve_multi(
             table = leaf_tables[ones_max] = tuple(rows)
         tables[u] = table
 
-    if len(model.roots) == 1:
-        root_key: str | None = model.roots[0]
-        final = tables[root_key]
-    else:
-        root_key = None
-        final = fold(None, model.roots)
+    # The virtual root folds the roots like any node, adding one entry
+    # of its own per block, which the value then drops.
+    roots = tree.children(top)
+    final = fold(top, roots)
     target_id = kernel.ids.get(target.entries)
     value = dict(final).get(target_id)
-    if value is not None and root_key is None:
-        value -= packed[target_id]
-
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")
+    value -= packed[target_id]
 
     # Walk the decisions back down, assigning each child its census.
-    sub_target: dict[str, int] = {}
-    fold_steps: dict[str | None, list[tuple[int, int, int]]] = {}
+    sub_target: dict[int, int] = {}
+    fold_steps: dict[int, list[tuple[int, int, int]]] = {}
 
-    walk: list[tuple[str | None, int]] = [(root_key, target_id)]
+    walk: list[tuple[int, int]] = [(top, target_id)]
     while walk:
         u, sid = walk.pop()
-        kids = children_of(model, u)
+        kids = tree.children(u)
         if not kids:
-            assert u is not None
             sub_target[u] = sid
             continue
         steps: list[tuple[int, int, int]] = []
@@ -420,25 +417,23 @@ def solve_multi(
                 merged.append(lefts.pop() | rights.pop())
         return merged
 
-    def fold_blocks(key: str | None, kids: list[str]) -> list[frozenset[str]]:
+    def fold_blocks(key: int, kids: list[int]) -> list[frozenset[str]]:
         acc_blocks = blocks_of[kids[0]]
         for k, step in enumerate(fold_steps[key], 1):
             acc_blocks = merge_blocks(acc_blocks, blocks_of[kids[k]], step)
         return acc_blocks
 
-    blocks_of: dict[str, list[frozenset[str]]] = {}
-    for u in order:
-        kids = model.children[u]
+    blocks_of: dict[int, list[frozenset[str]]] = {}
+    for u in tree.bottom_up:
+        kids = tree.children(u)
         if kids:
             blocks_of[u] = fold_blocks(u, kids)
             continue
         singles = kernel.census[sub_target[u]][rho - 1]
-        blocks_of[u] = [frozenset([u])] * singles + [frozenset()] * (m - singles)
-
-    final_blocks = blocks_of[root_key] if root_key is not None else fold_blocks(None, model.roots)
+        blocks_of[u] = [frozenset([tree.ids[u]])] * singles + [frozenset()] * (m - singles)
 
     by_size: dict[int, deque[frozenset[str]]] = defaultdict(deque)
-    for blk in final_blocks:
+    for blk in fold_blocks(top, roots):
         by_size[len(blk)].append(blk)
     ordered = tuple(by_size[s].popleft() for s in sizes)
     agg = FailureAggregate(entries=kernel.unpack(value), rho=rho)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement, failure_numbers
-from .model import FailureModel, ancestors, subtree_stats
+from .model import FailureModel, ancestors
 
 DEFAULT_GUARD = 1_000_000
 
@@ -229,17 +229,19 @@ def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceVio
     """Report sibling pairs where an unfilled child lags another child by
     more than one replica. An empty list means the placement is balanced."""
     fn = failure_numbers(model, placement)
-    stats = subtree_stats(model)
+    tree = model.tree
+    ids, leaf_count = tree.ids, tree.leaf_count
     violations: list[BalanceViolation] = []
-    for node_id in model.nodes:
-        kids = model.children[node_id]
+    for u, node_id in enumerate(ids):
+        kids = tree.children(u)
         if len(kids) < 2:
             continue
         # A heavy side exceeds a light side by at least 2, so only
         # children holding 2 or more replicas can be one.
-        heavies = [c for c in kids if fn[c] >= 2]
-        for light in kids:
-            if fn[light] >= stats.leaf_count[light]:
+        heavies = [ids[c] for c in kids if fn[ids[c]] >= 2]
+        for c in kids:
+            light = ids[c]
+            if fn[light] >= leaf_count[c]:
                 continue
             for heavy in heavies:
                 if fn[heavy] > fn[light] + 1:

@@ -21,7 +21,7 @@ so a rank selection on that depth (ties by position) picks the
 children that take the extra replicas, and two sums price them all.
 solve_greedy grows the placement one replica at a time.
 
-Both recursive solvers start at a virtual root, None, whose children
+Both recursive solvers start at the tree's virtual root, whose children
 are the model's roots and which adds no entry of its own, so a forest
 takes the same path as a tree.
 
@@ -29,22 +29,24 @@ A subtree can host at most one replica per leaf, so child "capacities"
 inside the solvers are subtree leaf counts. A child is filled when its
 subtree holds as many replicas as it has leaves.
 
-Each solve prepares the tree once with model.subtree_stats. Per node it
-holds the subtree's leaf count (its capacity here), its node count (the
-aggregate of a subtree left empty) and its shallowest leaf with that
-leaf's depth below the node (where an empty subtree takes one extra
-replica most cheaply). A filled subtree's aggregate and its leaves come
-from a postorder walk of just that subtree.
+The solvers work on the compiled tree (model.Tree) that parsing built.
+Per node it holds the subtree's leaf count (its capacity here), its node
+count (the aggregate of a subtree left empty) and its shallowest leaf
+with that leaf's depth below the node (where an empty subtree takes one
+extra replica most cheaply), so a solve prepares nothing. A filled
+subtree's aggregate and its leaves come from a walk of just that
+subtree. Ids appear only in the returned placement.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
-from .model import FailureModel, SubtreeStats, ancestors, children_of, postorder, subtree_stats
+# postorder is not called here, but bench/tracer.py wraps this binding.
+from .model import FailureModel, Tree, postorder  # noqa: F401
 
 
 def nth_smallest(items: list, k: int):
@@ -190,35 +192,34 @@ def select_heavy(pairs: list[ChildValuePair], beta: int) -> set[int]:
     return {i for diff, i in keys if (diff, i) <= threshold}
 
 
-def _fill(
-    hists: Sequence[list[int]], model: FailureModel, stats: SubtreeStats, filled: Sequence[str]
-) -> None:
+def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int]) -> None:
     """Count the filled subtrees, one replica on every leaf, into each
     histogram by failure number: every node w in them loses all
     leaf_count[w] replicas below it."""
     if not filled:  # most labeled nodes have no filled children
         return
-    leaf_count = stats.leaf_count
-    numbers = [leaf_count[w] for w in postorder(model, filled)]
+    leaf_count = tree.leaf_count
+    numbers = [leaf_count[w] for w in tree.walk(filled)]
     for hist in hists:
         for f in numbers:
             hist[f] += 1
 
 
-def _leaves_below(model: FailureModel, filled: Sequence[str]) -> list[str]:
+def _leaves_below(tree: Tree, filled: Sequence[int]) -> list[int]:
     if not filled:
         return []
-    return [w for w in postorder(model, filled) if not model.children[w]]
+    capacity = tree.capacity
+    return [w for w in tree.walk(filled) if capacity[w]]
 
 
-def _check_rho(model: FailureModel, rho: int) -> None:
+def _check_rho(tree: Tree, rho: int) -> None:
     if rho < 1:
         raise InfeasibleError(f"rho must be at least 1, got {rho}")
-    if rho > len(model.leaves):
-        raise InfeasibleError(f"rho={rho} exceeds the {len(model.leaves)} available leaves")
+    if rho > tree.leaf_total:
+        raise InfeasibleError(f"rho={rho} exceeds the {tree.leaf_total} available leaves")
 
 
-def _at(kids: list[str], positions: frozenset[int]) -> list[str]:
+def _at(kids: list[int], positions: frozenset[int]) -> list[int]:
     """The children at the given positions, in child order, in one pass
     rather than a sort."""
     if not positions:  # most labeled nodes have no filled children
@@ -230,30 +231,36 @@ def _label_base(label: LabelResult) -> int:
     return label.remaining // len(label.unfilled)
 
 
+def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:
+    ids = tree.ids
+    return Placement(leaves=frozenset([ids[u] for u in leaves]))
+
+
 def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Memoized reference solver over (node, replica count) states,
-    starting at the virtual root None with all rho replicas."""
-    _check_rho(model, rho)
-    stats = subtree_stats(model)
-    leaf_count = stats.leaf_count
+    starting at the virtual root with all rho replicas."""
+    tree = model.tree
+    _check_rho(tree, rho)
+    top = tree.root
+    leaf_count = tree.leaf_count
 
-    memo: dict[tuple[str | None, int], tuple[int, ...]] = {}
-    labels: dict[tuple[str | None, int], LabelResult] = {}
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
+    labels: dict[tuple[int, int], LabelResult] = {}
     choices: dict[
-        tuple[str | None, int], tuple[tuple[str, ...], tuple[str, ...], int, frozenset[str]]
+        tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]]
     ] = {}
-    filled_cache: dict[str, tuple[int, ...]] = {}
+    filled_cache: dict[int, tuple[int, ...]] = {}
 
-    def filled_value(u: str) -> tuple[int, ...]:
+    def filled_value(u: int) -> tuple[int, ...]:
         cached = filled_cache.get(u)
         if cached is None:
             hist = [0] * (rho + 1)
-            _fill([hist], model, stats, [u])
+            _fill([hist], tree, [u])
             cached = tuple(reversed(hist))
             filled_cache[u] = cached
         return cached
 
-    stack: list[tuple[str | None, int]] = [(None, rho)]
+    stack: list[tuple[int, int]] = [(top, rho)]
     while stack:
         u, m = stack[-1]
         if (u, m) in memo:
@@ -261,15 +268,15 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
             continue
         if m == 0:
             entries = [0] * (rho + 1)
-            entries[rho] = stats.node_count[u]
+            entries[rho] = tree.node_count[u]
             memo[(u, m)] = tuple(entries)
             stack.pop()
             continue
-        if u is not None and m == leaf_count[u]:
+        if u != top and m == leaf_count[u]:
             memo[(u, m)] = filled_value(u)
             stack.pop()
             continue
-        kids = children_of(model, u)
+        kids = tree.children(u)
         label = labels.get((u, m))
         if label is None:
             label = label_children([leaf_count[c] for c in kids], m)
@@ -285,12 +292,12 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
             stack.extend(missing)
             continue
         entries = [0] * (rho + 1)
-        if u is not None:
+        if u != top:
             entries[rho - m] += 1
         for i in sorted(label.filled):
             for j, v in enumerate(filled_value(kids[i])):
                 entries[j] += v
-        heavy_ids: frozenset[str] = frozenset()
+        heavy_ids: frozenset[int] = frozenset()
         if beta > 0:
             pairs = [
                 ChildValuePair(light=memo[(kids[i], base)], heavy=memo[(kids[i], base + 1)])
@@ -312,14 +319,14 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         )
         stack.pop()
 
-    out: list[str] = []
-    rstack: list[tuple[str | None, int]] = [(None, rho)]
+    out: list[int] = []
+    rstack: list[tuple[int, int]] = [(top, rho)]
     while rstack:
         u, m = rstack.pop()
         if m == 0:
             continue
-        if u is not None and m == leaf_count[u]:
-            out.extend(_leaves_below(model, [u]))
+        if u != top and m == leaf_count[u]:
+            out.extend(_leaves_below(tree, [u]))
             continue
         filled_ids, unfilled_ids, base, heavy_ids = choices[(u, m)]
         for c in filled_ids:
@@ -327,30 +334,29 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         for c in unfilled_ids:
             rstack.append((c, base + 1 if c in heavy_ids else base))
 
-    return FailureAggregate(entries=memo[(None, rho)], rho=rho), Placement(leaves=frozenset(out))
+    return FailureAggregate(entries=memo[(top, rho)], rho=rho), _placement(tree, out)
 
 
 def _divide(
-    model: FailureModel, stats: SubtreeStats, rho: int
-) -> tuple[
-    list[str | None], dict[str | None, int], dict[str | None, bool], dict[str | None, LabelResult]
-]:
-    """Top-down pass from the virtual root None, which holds all rho
+    tree: Tree, rho: int
+) -> tuple[list[int], dict[int, int], dict[int, bool], dict[int, LabelResult]]:
+    """Top-down pass from the virtual root, which holds all rho
     replicas. Labels every node that takes some but not all of its
     leaves' replicas, once, and records each unfilled child's light mass
     and whether it must also be priced at one replica more: when its
     parent is, or when its parent moves extra replicas down. Returns the
     labeled nodes parents first."""
-    leaf_count = stats.leaf_count
-    mass: dict[str | None, int] = {None: rho}
-    need: dict[str | None, bool] = {None: False}
-    labels: dict[str | None, LabelResult] = {}
-    order: list[str | None] = []
-    pending: list[str | None] = [None]
+    leaf_count = tree.leaf_count
+    top = tree.root
+    mass: dict[int, int] = {top: rho}
+    need: dict[int, bool] = {top: False}
+    labels: dict[int, LabelResult] = {}
+    order: list[int] = []
+    pending: list[int] = [top]
     while pending:
         u = pending.pop()
         order.append(u)
-        kids = children_of(model, u)
+        kids = tree.children(u)
         label = label_children([leaf_count[c] for c in kids], mass[u])
         labels[u] = label
         if not label.unfilled:
@@ -370,9 +376,7 @@ def _divide(
     return order, mass, need, labels
 
 
-def _shallowest(
-    stats: SubtreeStats, unf: list[str], beta: int, heavy: bool
-) -> tuple[list[str], list[str]]:
+def _shallowest(tree: Tree, unf: list[int], beta: int, heavy: bool) -> tuple[list[int], list[int]]:
     """The empty children that take the extra replicas: beta of them at
     the node's mass and beta + 1 at one more (when heavy).
 
@@ -386,7 +390,7 @@ def _shallowest(
     if not k:
         return [], []
     n = len(unf)
-    depth = stats.min_rel_depth
+    depth = tree.min_rel_depth
     keys = [depth[c] * n + i for i, c in enumerate(unf)]
     cut = nth_smallest(keys, k - 1)
     picked = [key for key in keys if key <= cut]
@@ -397,10 +401,10 @@ def _shallowest(
     return [unf[key % n] for key in picked if key != cut], [unf[key % n] for key in picked]
 
 
-def _empty_hist(stats: SubtreeStats, size: int, nodes: int, picked: list[str]) -> list[int]:
+def _empty_hist(tree: Tree, size: int, nodes: int, picked: list[int]) -> list[int]:
     """Histogram of empty children with nodes nodes in all, where each
     picked child holds one replica on its shallowest leaf."""
-    path = sum(stats.min_rel_depth[c] + 1 for c in picked)
+    path = sum(tree.min_rel_depth[c] + 1 for c in picked)
     hist = [0] * size
     hist[0] = nodes - path
     hist[1] = path
@@ -415,19 +419,20 @@ def _add(dst: list[int], src: list[int]) -> None:
 def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Near-linear solver: label each node once top down, then combine
     failure-number histograms bottom up."""
-    _check_rho(model, rho)
-    stats = subtree_stats(model)
-    order, mass, need, labels = _divide(model, stats, rho)
+    tree = model.tree
+    _check_rho(tree, rho)
+    top = tree.root
+    order, mass, need, labels = _divide(tree, rho)
 
     # Bottom-up pass. Per labeled node, hists holds the histogram by
     # failure number of its subtree's best aggregate at its mass
     # (light) and, when needed, at one replica more (heavy); both then
     # have mass + 2 slots so that siblings compare slot for slot.
-    hists: dict[str | None, tuple[list[int], list[int] | None]] = {}
-    choices: dict[str | None, tuple[set[int], set[int]]] = {}
-    shallow: dict[str | None, tuple[list[str], list[str]]] = {}
+    hists: dict[int, tuple[list[int], list[int] | None]] = {}
+    choices: dict[int, tuple[set[int], set[int]]] = {}
+    shallow: dict[int, tuple[list[int], list[int]]] = {}
     for u in reversed(order):
-        kids = children_of(model, u)
+        kids = tree.children(u)
         label = labels[u]
         m = mass[u]
         nh = need[u]
@@ -437,14 +442,14 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # Every unfilled child is empty: all its nodes sit at failure
             # number 0 but the path to its shallowest leaf, which moves
             # to 1 when the child is picked for an extra replica.
-            light_sel, heavy_sel = _shallowest(stats, unf, label.heavy_count, nh)
+            light_sel, heavy_sel = _shallowest(tree, unf, label.heavy_count, nh)
             shallow[u] = (
-                [stats.min_depth_leaf[c] for c in light_sel],
-                [stats.min_depth_leaf[c] for c in heavy_sel],
+                [tree.min_depth_leaf[c] for c in light_sel],
+                [tree.min_depth_leaf[c] for c in heavy_sel],
             )
-            nodes = sum(stats.node_count[c] for c in unf)
-            light = _empty_hist(stats, size, nodes, light_sel)
-            heavy = _empty_hist(stats, size, nodes, heavy_sel) if nh else None
+            nodes = sum(tree.node_count[c] for c in unf)
+            light = _empty_hist(tree, size, nodes, light_sel)
+            heavy = _empty_hist(tree, size, nodes, heavy_sel) if nh else None
         elif len(unf) == 1:
             # The only unfilled child takes every extra replica, so its
             # lists are extended in place by the filled children's mass.
@@ -476,8 +481,8 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 if nh:
                     _add(heavy, ch if i in heavy_sel else cl)
         filled = _at(kids, label.filled)
-        _fill([light, heavy] if nh else [light], model, stats, filled)
-        if u is not None:
+        _fill([light, heavy] if nh else [light], tree, filled)
+        if u != top:
             light[m] += 1
             if nh:
                 heavy[m + 1] += 1
@@ -486,13 +491,13 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # Witness walk: the heavy flag goes down to the only unfilled child,
     # or to the children chosen for it; an empty child chosen for it
     # contributes its shallowest leaf.
-    out: list[str] = []
-    walk: list[tuple[str | None, bool]] = [(None, False)]
+    out: list[int] = []
+    walk: list[tuple[int, bool]] = [(top, False)]
     while walk:
         u, hv = walk.pop()
-        kids = children_of(model, u)
+        kids = tree.children(u)
         label = labels[u]
-        out.extend(_leaves_below(model, _at(kids, label.filled)))
+        out.extend(_leaves_below(tree, _at(kids, label.filled)))
         if u in shallow:
             light_leaves, heavy_leaves = shallow[u]
             out.extend(heavy_leaves if hv else light_leaves)
@@ -505,25 +510,28 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
         sel = heavy_sel if hv else light_sel
         walk.extend((c, i in sel) for i, c in enumerate(unf))
 
-    entries = tuple(reversed(hists[None][0]))
-    return FailureAggregate(entries=entries, rho=rho), Placement(leaves=frozenset(out))
+    entries = tuple(reversed(hists[top][0]))
+    return FailureAggregate(entries=entries, rho=rho), _placement(tree, out)
 
 
 def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Place one replica at a time, each time choosing the leaf whose
     addition gives the lexicographically smallest next aggregate (ties
     broken by smallest leaf id)."""
-    _check_rho(model, rho)
-    paths = {leaf: list(ancestors(model, leaf)) for leaf in model.leaves}
+    tree = model.tree
+    _check_rho(tree, rho)
+    ids = tree.ids
+    # In id order, so that of equal aggregates the first one found wins.
+    candidates = sorted((u for u, c in enumerate(tree.capacity) if c), key=ids.__getitem__)
+    paths = {leaf: tree.up(leaf) for leaf in candidates}
 
-    fn = {node_id: 0 for node_id in model.nodes}
+    fn = [0] * len(ids)
     agg = [0] * (rho + 1)
-    agg[rho] = len(model)
-    chosen: set[str] = set()
-    candidates = sorted(model.leaves)
+    agg[rho] = len(ids)
+    chosen: set[int] = set()
 
     for _ in range(rho):
-        best_key: tuple[tuple[int, ...], str] | None = None
+        best: tuple[tuple[int, ...], int] | None = None
         for leaf in candidates:
             if leaf in chosen:
                 continue
@@ -534,14 +542,13 @@ def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Place
                 agg[i] - s[i] + (s[i + 1] if i + 1 <= rho else 0)
                 for i in range(rho + 1)
             )
-            key = (cand, leaf)
-            if best_key is None or key < best_key:
-                best_key = key
-        assert best_key is not None
-        cand, leaf = best_key
+            if best is None or cand < best[0]:
+                best = (cand, leaf)
+        assert best is not None
+        cand, leaf = best
         chosen.add(leaf)
         for v in paths[leaf]:
             fn[v] += 1
         agg = list(cand)
 
-    return FailureAggregate(entries=tuple(agg), rho=rho), Placement(leaves=frozenset(chosen))
+    return FailureAggregate(entries=tuple(agg), rho=rho), _placement(tree, chosen)

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from fdplace.cli import main
+from fdplace.model import Node
 
 from conftest import fixture_path as _fixture_path
+from conftest import load_model
 
 
 def fixture_path(name: str) -> str:
@@ -251,6 +253,41 @@ def test_gen_is_deterministic(capsys, tmp_path):
 
     report = run_json(capsys, "solve-single", str(out_file), "--rho", "4")
     assert report["objective"]
+
+
+def test_gen_to_an_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "gen", "--leaves", "5", "--seed", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write model file:")
+    assert not target.exists()
+
+
+def test_solving_and_evaluating_build_no_node_objects(capsys, monkeypatch, tmp_path):
+    # The solvers and evaluators run on the compiled tree; Node objects
+    # exist only for the id views, which these commands never read.
+    built = []
+    original = Node.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs.get("id"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counting)
+    model = fixture_path("shared_tree.json")
+    solved = run_json(capsys, "solve-single", model, "--rho", "3", "--algorithm", "fast")
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps(solved["witness"]))
+    run_json(capsys, "eval", model, "--placement", str(placement))
+    code, _out, _err = run_cli(capsys, "check", model, "--placement", str(placement))
+    assert code == 0
+    multi = run_json(capsys, "solve-multi", model, "--sizes", "3,3,2")
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps(multi["witness"]))
+    run_json(capsys, "eval", model, "--blocks", str(blocks))
+    assert built == []
+    # The counter does see the id view being built.
+    assert len(load_model("shared_tree.json").nodes) == len(built) == 10
 
 
 def test_gen_rejects_bad_parameters(capsys):

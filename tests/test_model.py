@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from fdplace.errors import ModelError
-from fdplace.model import ancestors, parse_model, postorder, render_model, subtree_stats
+from fdplace.generate import random_model
+from fdplace.model import (
+    FailureModel,
+    Node,
+    ancestors,
+    parse_model,
+    postorder,
+    render_model,
+    subtree_stats,
+)
 
 from conftest import fixture_path
 
@@ -171,6 +181,89 @@ def test_ancestors_walk_up_to_the_root(two_rows):
     assert list(ancestors(two_rows, "row1")) == ["row1"]
 
 
+def hand_built() -> FailureModel:
+    """Built from Node objects the way bench/workloads.py builds its
+    datacenter shapes: a root, racks of uneven size, servers."""
+    nodes = {"dc": Node("dc", None, None)}
+    children: dict[str, list[str]] = {"dc": []}
+    for rack, size in enumerate((3, 1, 4, 2)):
+        nodes[f"r{rack}"] = Node(f"r{rack}", "dc", None)
+        children["dc"].append(f"r{rack}")
+        children[f"r{rack}"] = []
+        for k in range(size):
+            server = f"r{rack}s{k}"
+            nodes[server] = Node(server, f"r{rack}", 1 + k % 2)
+            children[f"r{rack}"].append(server)
+            children[server] = []
+    leaves = [u for u, node in nodes.items() if node.capacity is not None]
+    return FailureModel(nodes=nodes, roots=["dc"], children=children, leaves=leaves)
+
+
+def generated(leaves, seed, shuffle=False, **kwargs) -> FailureModel:
+    model = random_model(leaves, seed, **kwargs)
+    if not shuffle:
+        return model
+    entries = json.loads(render_model(model))["nodes"]
+    random.Random(seed).shuffle(entries)
+    return parse_model(make(entries))
+
+
+COMPILED_CASES = {
+    "two rows": lambda: parse_model(fixture_path("two_rows.json").read_text()),
+    "shared tree": lambda: parse_model(fixture_path("shared_tree.json").read_text()),
+    "forest": lambda: generated(60, 11, roots=3),
+    "chains": lambda: generated(40, 7, max_fanout=2),
+    "capacities": lambda: generated(50, 3, max_capacity=3, max_fanout=5),
+    "children before parents": lambda: generated(60, 5, shuffle=True, roots=2, max_capacity=3),
+    "star": lambda: generated(30, 2, max_fanout=30),
+    "hand built": hand_built,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPILED_CASES))
+def test_compiled_views_match_their_definitions(case):
+    model = COMPILED_CASES[case]()
+    entries = json.loads(render_model(model))["nodes"]
+    if case == "children before parents":
+        assert not isinstance(model.tree.bottom_up, range)
+    ids = [e["id"] for e in entries]
+    parent = {e["id"]: e["parent"] for e in entries}
+    kids = {u: [v for v in ids if parent[v] == u] for u in ids}
+    roots = [v for v in ids if parent[v] is None]
+    assert model.roots == roots
+    assert model.children == kids
+    assert model.leaves == [e["id"] for e in entries if "capacity" in e]
+    assert [(n.id, n.parent, n.capacity) for n in model.nodes.values()] == [
+        (e["id"], e["parent"], e.get("capacity")) for e in entries
+    ]
+
+    def post(u):
+        return [w for c in kids[u] for w in post(c)] + [u]
+
+    assert postorder(model) == [w for r in roots for w in post(r)]
+    starts = ids[len(ids) // 2 :: 7]
+    assert postorder(model, starts) == [w for s in starts for w in post(s)]
+    for u in ids:
+        path = [u]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        assert list(ancestors(model, u)) == path
+
+    stats = subtree_stats(model)
+    for u in ids:
+        below = post(u)
+        leaves = [w for w in below if not kids[w]]
+        assert stats.leaf_count[u] == len(leaves)
+        assert stats.node_count[u] == len(below)
+        depth = {}
+        for w in reversed(below):
+            depth[w] = 0 if w == u else depth[parent[w]] + 1
+        shallowest = min(depth[w] for w in leaves)
+        assert stats.min_rel_depth[u] == shallowest
+        # Ties go to the first child, so to the first leaf in postorder.
+        assert stats.min_depth_leaf[u] == next(w for w in leaves if depth[w] == shallowest)
+
+
 def test_subtree_stats_node_counts_and_depths(two_rows):
     stats = subtree_stats(two_rows)
     assert stats.node_count["row1"] == 7
@@ -179,3 +272,71 @@ def test_subtree_stats_node_counts_and_depths(two_rows):
     assert stats.min_rel_depth["row2"] == 2
     assert stats.min_rel_depth["rack3"] == 1
     assert stats.min_rel_depth["srv5"] == 0
+
+
+def leaf(node_id, parent=None, capacity=1):
+    return {"id": node_id, "parent": parent, "capacity": capacity}
+
+
+def inner(node_id, parent=None):
+    return {"id": node_id, "parent": parent}
+
+
+CYCLE = [inner("p", "q"), inner("q", "p")]
+PARENT_CYCLE = "model contains a parent cycle unreachable from any root"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (
+            "{",
+            "invalid JSON: Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)",
+        ),
+        ("[]", 'model document must be an object with a "nodes" array'),
+        ("{}", 'model document must be an object with a "nodes" array'),
+        ('{"nodes": {}}', '"nodes" must be an array'),
+        ('{"nodes": []}', "model has no nodes"),
+        ('{"nodes": [3]}', "node entry must be an object, got int"),
+        (make([{**leaf("x"), "rank": 2}]), "unknown node fields: ['rank']"),
+        (make([leaf("")]), "node id must be a non-empty string, got ''"),
+        (make([{"parent": None, "capacity": 1}]), "node id must be a non-empty string, got None"),
+        (make([leaf("x", 3)]), "parent of 'x' must be a string or null"),
+        (make([leaf("x", "x")]), "node 'x' is its own parent"),
+        (make([leaf("x", capacity=0)]), "capacity of 'x' must be positive"),
+        (make([leaf("x", capacity=-1)]), "capacity of 'x' must be positive"),
+        (make([leaf("x", capacity=True)]), "capacity of 'x' must be an integer"),
+        (make([leaf("x", capacity="3")]), "capacity of 'x' must be an integer"),
+        (make([leaf("x", capacity=1.5)]), "capacity of 'x' must be an integer"),
+        (make([leaf("x"), leaf("x")]), "duplicate node id 'x'"),
+        (make([leaf("x", "ghost")]), "node 'x' has unknown parent 'ghost'"),
+        (make([leaf("r", capacity=2), leaf("x", "r")]), "leaf 'r' has capacity but also children"),
+        (make([inner("r")]), "childless node 'r' has no capacity"),
+        (make([leaf("ok"), *CYCLE]), PARENT_CYCLE),
+        # Two faults: entries are checked one by one in file order, then
+        # parents, then leaves, then cycles; the first fault found wins.
+        (make([{"id": "", "parent": None, "rank": 1}]), "unknown node fields: ['rank']"),
+        (make([leaf("x", "x", capacity=0)]), "node 'x' is its own parent"),
+        (make([inner("r"), leaf("x", "ghost")]), "node 'x' has unknown parent 'ghost'"),
+        (
+            make([leaf("x", "ghost"), inner("y", "x"), leaf("ok"), leaf("ok")]),
+            "duplicate node id 'ok'",
+        ),
+        (make([leaf("ok"), *CYCLE, leaf("ok")]), "duplicate node id 'ok'"),
+        (make([*CYCLE, leaf("z", "q"), inner("w", "gone")]), "node 'w' has unknown parent 'gone'"),
+        (make([inner("z"), leaf("r"), leaf("a", "r")]), "childless node 'z' has no capacity"),
+        (
+            make([leaf("a", "r"), inner("r"), inner("z", "r")]),
+            "childless node 'z' has no capacity",
+        ),
+        (make([leaf("ok"), *CYCLE, leaf("z", "ok")]), "leaf 'ok' has capacity but also children"),
+        (make([leaf("ok"), *CYCLE, inner("z", "q")]), "childless node 'z' has no capacity"),
+        (make([leaf("s", "p"), *CYCLE, leaf("t", "ok"), inner("ok")]), PARENT_CYCLE),
+    ],
+)
+def test_parse_error_messages_and_their_precedence(text, message):
+    with pytest.raises(ModelError) as caught:
+        parse_model(text)
+    assert str(caught.value) == message
