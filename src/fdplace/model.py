@@ -13,14 +13,14 @@ preserved and used as the child order everywhere downstream.
 
 parse_model validates the entries and compiles them into a Tree, flat
 lists indexed by file position, which the solvers work on. The id-keyed
-surface (nodes, children, roots, leaves, subtree_stats, postorder,
-ancestors, children_of) is derived from the tree on first use.
+surface (nodes, children, roots, leaves, subtree_stats, postorder) is
+derived from the tree on first use.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -302,7 +302,7 @@ def render_model(model: FailureModel) -> str:
         if node.capacity is not None:
             entry["capacity"] = node.capacity
         entries.append(entry)
-    return json.dumps({"nodes": entries}, indent=2) + "\n"
+    return json.dumps({"nodes": entries}) + "\n"
 
 
 @dataclass
@@ -322,19 +322,6 @@ def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[
     ids = t.ids
     top = t.children(t.root) if starts is None else [t.index[s] for s in starts]
     return [ids[u] for u in reversed(t.walk(top))]
-
-
-def children_of(model: FailureModel, node_id: str | None) -> list[str]:
-    """Children of node_id; None is a virtual root whose children are
-    the model's roots."""
-    return model.roots if node_id is None else model.children[node_id]
-
-
-def ancestors(model: FailureModel, node_id: str) -> Iterator[str]:
-    """Yield node_id, then its parent, and so on up to its root."""
-    t = model.tree
-    for u in t.up(t.index[node_id]):
-        yield t.ids[u]
 
 
 def subtree_stats(model: FailureModel) -> SubtreeStats:

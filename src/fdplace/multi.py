@@ -3,21 +3,28 @@
 Block-size censuses (signatures) index sizes from the girth down, the
 same way aggregates index failure counts. The solver restricts every
 subtree's census to a window of delta + 1 adjacent size classes and
-runs a dynamic program over (node, census) states, merging children one
+solves in two passes.
+
+Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
 in the two child tables: the merge kernel enumerates the cell layouts
 with those margins once per pair, keeps the merged censuses inside the
 window, and caches them for the rest of the solve. Aggregates are
 packed into single ints, so a candidate costs one addition and one
-comparison. The cell layout behind a merge (its support) is rebuilt
-only for the merges the witness walk visits. build_phi tabulates the
-same kernel over every census pair, for checking it against brute
-force.
+comparison.
+
+Down, one walk follows the recorded choices from the root and hands
+each child the block slots it fills, by size class; each leaf joins
+the blocks in its one-replica class. The cell layout behind a merge
+(its support) is rebuilt only for the merges this walk visits.
+
+build_phi tabulates the same kernel over every census pair, for
+checking it against brute force.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, SkewOverrideError
@@ -300,7 +307,7 @@ def solve_multi(
         raise InfeasibleError(
             f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
         )
-    target, _ = target_signature(sizes)
+    target = signature_of_sizes(sizes)
 
     # Every aggregate digit counts (node, block) pairs, the virtual
     # root included, so m * (nodes + 1) bounds it.
@@ -367,74 +374,46 @@ def solve_multi(
 
     # The virtual root folds the roots like any node, adding one entry
     # of its own per block, which the value then drops.
-    roots = tree.children(top)
-    final = fold(top, roots)
+    final = fold(top, tree.children(top))
     target_id = kernel.ids.get(target.entries)
     value = dict(final).get(target_id)
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")
     value -= packed[target_id]
 
-    # Walk the decisions back down, assigning each child its census.
-    sub_target: dict[int, int] = {}
-    fold_steps: dict[int, list[tuple[int, int, int]]] = {}
-
-    walk: list[tuple[int, int]] = [(top, target_id)]
+    # Walk the decisions back down, handing each node the blocks it
+    # fills. slots[c] lists, in order, the blocks that the node's partial
+    # blocks of size class c belong to; the root's are the requested
+    # blocks of each size, in request order. Layout cells are taken in
+    # order, and a cell (i, j, v) gives the next v slots of class
+    # i + j - rho to the left side's class i and the child's class j.
+    ids = tree.ids
+    members: list[list[str]] = [[] for _ in sizes]
+    root_slots: dict[int, list[int]] = {}
+    for b, s in enumerate(sizes):
+        root_slots.setdefault(rho - s, []).append(b)
+    walk = [(top, target_id, root_slots)]
     while walk:
-        u, sid = walk.pop()
+        u, cur, slots = walk.pop()
         kids = tree.children(u)
         if not kids:
-            sub_target[u] = sid
+            for b in slots.get(rho - 1, ()):
+                members[b].append(ids[u])
             continue
-        steps: list[tuple[int, int, int]] = []
-        cur = sid
         for k in range(len(kids), 1, -1):
             lid, rid = picks[(u, k)][cur]
-            steps.append((cur, lid, rid))
-            walk.append((kids[k - 1], rid))
-            cur = lid
-        walk.append((kids[0], cur))
-        fold_steps[u] = list(reversed(steps))
+            left: dict[int, list[int]] = {}
+            right: dict[int, list[int]] = {}
+            used = dict.fromkeys(slots, 0)
+            for i, j, v in kernel.support(cur, lid, rid):
+                c = i + j - rho
+                part = slots[c][used[c] : used[c] + v]
+                used[c] += v
+                left.setdefault(i, []).extend(part)
+                right.setdefault(j, []).extend(part)
+            walk.append((kids[k - 1], rid, right))
+            cur, slots = lid, left
+        walk.append((kids[0], cur, slots))
 
-    # Build the blocks bottom up, pairing partial blocks cell by cell.
-    def merge_blocks(
-        left: list[frozenset[str]],
-        right: list[frozenset[str]],
-        step: tuple[int, int, int],
-    ) -> list[frozenset[str]]:
-        # Each size class pops from the end, so lists are filled reversed
-        # to hand out blocks first in, first out.
-        by_left: dict[int, list[frozenset[str]]] = {}
-        by_right: dict[int, list[frozenset[str]]] = {}
-        for blk in reversed(left):
-            by_left.setdefault(rho - len(blk), []).append(blk)
-        for blk in reversed(right):
-            by_right.setdefault(rho - len(blk), []).append(blk)
-        merged: list[frozenset[str]] = []
-        for i, j, v in kernel.support(*step):
-            lefts, rights = by_left[i], by_right[j]
-            for _ in range(v):
-                merged.append(lefts.pop() | rights.pop())
-        return merged
-
-    def fold_blocks(key: int, kids: list[int]) -> list[frozenset[str]]:
-        acc_blocks = blocks_of[kids[0]]
-        for k, step in enumerate(fold_steps[key], 1):
-            acc_blocks = merge_blocks(acc_blocks, blocks_of[kids[k]], step)
-        return acc_blocks
-
-    blocks_of: dict[int, list[frozenset[str]]] = {}
-    for u in tree.bottom_up:
-        kids = tree.children(u)
-        if kids:
-            blocks_of[u] = fold_blocks(u, kids)
-            continue
-        singles = kernel.census[sub_target[u]][rho - 1]
-        blocks_of[u] = [frozenset([tree.ids[u]])] * singles + [frozenset()] * (m - singles)
-
-    by_size: dict[int, deque[frozenset[str]]] = defaultdict(deque)
-    for blk in fold_blocks(top, roots):
-        by_size[len(blk)].append(blk)
-    ordered = tuple(by_size[s].popleft() for s in sizes)
     agg = FailureAggregate(entries=kernel.unpack(value), rho=rho)
-    return agg, MultiPlacement(blocks=ordered)
+    return agg, MultiPlacement(blocks=tuple(map(frozenset, members)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement, failure_numbers
-from .model import FailureModel, ancestors
+from .model import FailureModel, Tree
 
 DEFAULT_GUARD = 1_000_000
 
@@ -43,7 +43,8 @@ def oracle_single(
     Returns the optimal aggregate together with every placement that
     achieves it, in lexicographic order of the sorted leaf-id tuples.
     """
-    leaves = sorted(model.leaves)
+    tree = model.tree
+    leaves = _leaves_by_id(tree)
     if rho < 1:
         raise InfeasibleError(f"rho must be at least 1, got {rho}")
     if rho > len(leaves):
@@ -54,39 +55,47 @@ def oracle_single(
         raise GuardLimitError(f"search space {space} exceeds guard {limit}")
 
     best: tuple[int, ...] | None = None
-    optima: list[frozenset[str]] = []
-    for chosen, agg in _subsets(model, leaves, rho, rho):
+    optima: list[tuple[int, ...]] = []
+    for chosen, agg in _subsets(tree, leaves, rho, rho):
         if best is None or agg < best:
             best = agg
             optima.clear()
-            optima.append(frozenset(chosen))
+            optima.append(chosen)
         elif agg == best:
-            optima.append(frozenset(chosen))
+            optima.append(chosen)
     assert best is not None
-    return FailureAggregate(entries=best, rho=rho), [Placement(leaves=s) for s in optima]
+    ids = tree.ids
+    placements = [Placement(leaves=frozenset(ids[u] for u in s)) for s in optima]
+    return FailureAggregate(entries=best, rho=rho), placements
+
+
+def _leaves_by_id(tree: Tree) -> list[int]:
+    """The leaves' node indices, sorted by id."""
+    return sorted((u for u, c in enumerate(tree.capacity) if c), key=tree.ids.__getitem__)
 
 
 def _subsets(
-    model: FailureModel, leaves: list[str], size: int, rho: int
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """Yield every size-subset of leaves, in lexicographic order of leaf
-    positions, with its aggregate at girth rho.
+    tree: Tree, leaves: list[int], size: int, rho: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield every size-subset of the leaves (node indices), in
+    lexicographic order of their positions in leaves, with its aggregate
+    at girth rho.
 
     A depth-first walk with an explicit stack of chosen positions: each
     leaf's path is added to the failure numbers when it is chosen and
     taken off when it is dropped, so the depth never touches the
     interpreter's recursion limit.
     """
-    paths = [list(ancestors(model, leaf)) for leaf in leaves]
+    paths = [tree.up(leaf) for leaf in leaves]
     count_by_fn = [0] * (rho + 1)
-    count_by_fn[0] = len(model)
-    fn = dict.fromkeys(model.nodes, 0)
+    count_by_fn[0] = len(tree.ids)
+    fn = [0] * len(tree.ids)
 
     def add(i: int, delta: int) -> None:
-        for node_id in paths[i]:
-            count_by_fn[fn[node_id]] -= 1
-            fn[node_id] += delta
-            count_by_fn[fn[node_id]] += 1
+        for u in paths[i]:
+            count_by_fn[fn[u]] -= 1
+            fn[u] += delta
+            count_by_fn[fn[u]] += 1
 
     chosen: list[int] = []
     nxt = 0  # the next position to try after the chosen ones
@@ -120,8 +129,10 @@ def oracle_multi(
         raise InfeasibleError("no block sizes given")
     if any(s < 1 for s in sizes):
         raise InfeasibleError("every block size must be at least 1")
-    leaves = sorted(model.leaves)
-    total_capacity = sum(model.capacity(leaf) for leaf in leaves)
+    tree = model.tree
+    leaves = _leaves_by_id(tree)
+    capacity = tree.capacity
+    total_capacity = sum(capacity)
     if sum(sizes) > total_capacity:
         raise InfeasibleError(
             f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
@@ -147,7 +158,7 @@ def oracle_multi(
     if space > limit:
         raise GuardLimitError(f"search space {space} exceeds guard {limit}")
 
-    catalogs = {s: list(_subsets(model, leaves, s, rho)) for s in set(ordered_sizes)}
+    catalogs = {s: list(_subsets(tree, leaves, s, rho)) for s in set(ordered_sizes)}
     cw_min = {
         s: tuple(min(agg[i] for _, agg in cat) for i in range(rho + 1))
         for s, cat in catalogs.items()
@@ -159,10 +170,9 @@ def oracle_multi(
         mins = cw_min[ordered_sizes[i]]
         suffix_min[i] = tuple(below[j] + mins[j] for j in range(rho + 1))
 
-    capacity = {leaf: model.capacity(leaf) for leaf in leaves}
-    used = dict.fromkeys(leaves, 0)
+    used = [0] * len(capacity)
 
-    def take(block: tuple[str, ...]) -> bool:
+    def take(block: tuple[int, ...]) -> bool:
         for t, leaf in enumerate(block):
             if used[leaf] >= capacity[leaf]:
                 for back in block[:t]:
@@ -209,10 +219,11 @@ def oracle_multi(
     if best is None or best_picks is None:
         raise InfeasibleError("no multi-placement satisfies the leaf capacities")
 
+    ids = tree.ids
     blocks: list[frozenset[str]] = [frozenset()] * len(sizes)
     for pos, original in enumerate(order):
         block, _ = catalogs[ordered_sizes[pos]][best_picks[pos]]
-        blocks[original] = frozenset(block)
+        blocks[original] = frozenset(ids[u] for u in block)
     return FailureAggregate(entries=best, rho=rho), MultiPlacement(blocks=tuple(blocks))
 
 

@@ -10,7 +10,6 @@ from fdplace.generate import random_model
 from fdplace.model import (
     FailureModel,
     Node,
-    ancestors,
     parse_model,
     postorder,
     render_model,
@@ -176,9 +175,14 @@ def test_subtree_stats_prefers_shallowest_leaf():
     assert stats.min_depth_leaf["r"] == "near"
 
 
+def up(model: FailureModel, node_id: str) -> list[str]:
+    t = model.tree
+    return [t.ids[u] for u in t.up(t.index[node_id])]
+
+
 def test_ancestors_walk_up_to_the_root(two_rows):
-    assert list(ancestors(two_rows, "srv7")) == ["srv7", "rack4", "row2"]
-    assert list(ancestors(two_rows, "row1")) == ["row1"]
+    assert up(two_rows, "srv7") == ["srv7", "rack4", "row2"]
+    assert up(two_rows, "row1") == ["row1"]
 
 
 def hand_built() -> FailureModel:
@@ -247,7 +251,7 @@ def test_compiled_views_match_their_definitions(case):
         path = [u]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
-        assert list(ancestors(model, u)) == path
+        assert up(model, u) == path
 
     stats = subtree_stats(model)
     for u in ids:

@@ -179,6 +179,13 @@ def test_solve_multi_matches_oracle_on_shared_tree(shared_tree):
     assert best.entries == ref.entries
     assert sorted(len(b) for b in witness.blocks) == [2, 3, 3]
     assert multi_aggregate(shared_tree, witness).entries == best.entries
+    # The exact witness, in block order: the solver's tie-breaking and
+    # pairing of partial blocks are part of its contract.
+    assert witness.blocks == (
+        frozenset({"b", "c", "e"}),
+        frozenset({"b", "c", "e"}),
+        frozenset({"c", "e"}),
+    )
 
 
 def test_solve_multi_witness_respects_capacity(shared_tree):

@@ -10,6 +10,8 @@ must equal the oracle's wherever its guard lets it run.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -54,9 +56,15 @@ def check_witness(model, sizes, skew, agg, witness) -> None:
         assert spread <= delta, node_id
 
 
+# sha256 over every trial's witness, blocks as sorted id lists in block
+# order: any change to which optimum the solver returns shows here.
+WITNESS_DIGEST = "a65dfb62c08b0c70bd7c0dde79f3e02fcc758e059528454926dcfea471dc4966"
+
+
 def test_multi_block_differential_on_forests_and_wide_windows():
     rng = random.Random(2024)
     compared = Counter()
+    digest = hashlib.sha256()
     for trial in range(1, 701):
         model, sizes, widen, skew = draw(trial, rng)
         try:
@@ -71,6 +79,7 @@ def test_multi_block_differential_on_forests_and_wide_windows():
             raise AssertionError(f"trial {trial}: solver accepted infeasible {sizes}")
         agg, witness = solve_multi(model, sizes, skew=skew)
         check_witness(model, sizes, skew, agg, witness)
+        digest.update(json.dumps([sorted(b) for b in witness.blocks]).encode())
         if ref is None:
             continue
         assert agg.entries == ref.entries, (trial, sizes, skew)
@@ -83,4 +92,5 @@ def test_multi_block_differential_on_forests_and_wide_windows():
             compared["wide sizes"] += 1
     for kind in ("roots=2", "roots=3", "widen=1", "widen=2", "capacity=3", "wide sizes"):
         assert compared[kind] >= 10, (kind, compared)
+    assert digest.hexdigest() == WITNESS_DIGEST
     print(f"multi differential: {dict(compared)}")
