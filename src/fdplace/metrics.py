@@ -15,7 +15,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .model import FailureModel, Tree, decode_json, postorder
+# postorder is not called here, but bench/tracer.py wraps this binding.
+from .model import FailureModel, Tree, decode_json, postorder  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,11 @@ def _aggregate(tree: Tree, leaves: list[int], entries: list[int]) -> None:
 
 def failure_number(model: FailureModel, node_id: str, placement: Placement) -> int:
     """Count placement leaves inside the subtree of node_id."""
-    if node_id not in model.tree.index:
+    tree = model.tree
+    u = tree.index.get(node_id)
+    if u is None:
         raise ModelError(f"unknown node {node_id!r}")
-    return failure_numbers(model, placement)[node_id]
+    return _counts(tree, _leaf_indices(tree, placement.leaves)).get(u, 0)
 
 
 def failure_numbers(model: FailureModel, placement: Placement) -> dict[str, int]:
@@ -193,10 +196,13 @@ def sub_signature(model: FailureModel, mp: MultiPlacement, node_id: str) -> Sign
     subtree, where rho is the girth of the full multi-placement, so
     sub-signatures of different nodes stay comparable.
     """
-    if node_id not in model.tree.index:
+    tree = model.tree
+    u = tree.index.get(node_id)
+    if u is None:
         raise ModelError(f"unknown node {node_id!r}")
     rho = mp.girth()
-    below = {w for w in postorder(model, [node_id]) if model.is_leaf(w)}
+    ids, capacity = tree.ids, tree.capacity
+    below = {ids[w] for w in tree.walk([u]) if capacity[w]}
     entries = [0] * (rho + 1)
     for block in mp.blocks:
         inside = len(block & below)

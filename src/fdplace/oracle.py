@@ -14,24 +14,27 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import GuardLimitError, InfeasibleError
-from .metrics import FailureAggregate, MultiPlacement, Placement, failure_numbers
+from .metrics import FailureAggregate, MultiPlacement, Placement, _counts, _leaf_indices
 from .model import FailureModel, Tree
 
 DEFAULT_GUARD = 1_000_000
 
 
 def _resolve_guard(guard: int | None) -> int:
+    """The guard argument, else FDPLACE_ORACLE_GUARD, else the default;
+    a guard from either source must be a positive integer."""
     if guard is not None:
-        return guard
-    raw = os.environ.get("FDPLACE_ORACLE_GUARD")
-    if raw is None:
-        return DEFAULT_GUARD
+        source, raw = "guard", guard
+    else:
+        source, raw = "FDPLACE_ORACLE_GUARD", os.environ.get("FDPLACE_ORACLE_GUARD")
+        if raw is None:
+            return DEFAULT_GUARD
     try:
         value = int(raw)
     except ValueError as exc:
-        raise GuardLimitError(f"FDPLACE_ORACLE_GUARD is not an integer: {raw!r}") from exc
+        raise GuardLimitError(f"{source} is not an integer: {raw!r}") from exc
     if value < 1:
-        raise GuardLimitError(f"FDPLACE_ORACLE_GUARD must be positive: {raw!r}")
+        raise GuardLimitError(f"{source} must be positive: {raw!r}")
     return value
 
 
@@ -132,14 +135,15 @@ def oracle_multi(
     tree = model.tree
     leaves = _leaves_by_id(tree)
     capacity = tree.capacity
+    # The checks and messages of solve_multi, in its order.
+    if max(sizes) > len(leaves):
+        raise InfeasibleError(
+            f"block size {max(sizes)} exceeds the {len(leaves)} available leaves"
+        )
     total_capacity = sum(capacity)
     if sum(sizes) > total_capacity:
         raise InfeasibleError(
             f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
-        )
-    if max(sizes) > len(leaves):
-        raise InfeasibleError(
-            f"block size {max(sizes)} exceeds the {len(leaves)} available leaves"
         )
     rho = max(sizes)
 
@@ -239,8 +243,9 @@ class BalanceViolation:
 def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceViolation]:
     """Report sibling pairs where an unfilled child lags another child by
     more than one replica. An empty list means the placement is balanced."""
-    fn = failure_numbers(model, placement)
     tree = model.tree
+    # Failure numbers by node index; a node without one holds no replica.
+    fn = _counts(tree, _leaf_indices(tree, placement.leaves))
     ids, leaf_count = tree.ids, tree.leaf_count
     violations: list[BalanceViolation] = []
     for u, node_id in enumerate(ids):
@@ -249,19 +254,19 @@ def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceVio
             continue
         # A heavy side exceeds a light side by at least 2, so only
         # children holding 2 or more replicas can be one.
-        heavies = [ids[c] for c in kids if fn[ids[c]] >= 2]
+        heavies = [c for c in kids if fn.get(c, 0) >= 2]
         for c in kids:
-            light = ids[c]
-            if fn[light] >= leaf_count[c]:
+            light = fn.get(c, 0)
+            if light >= leaf_count[c]:
                 continue
             for heavy in heavies:
-                if fn[heavy] > fn[light] + 1:
+                if fn[heavy] > light + 1:
                     violations.append(
                         BalanceViolation(
                             node=node_id,
-                            light_child=light,
-                            heavy_child=heavy,
-                            light_count=fn[light],
+                            light_child=ids[c],
+                            heavy_child=ids[heavy],
+                            light_count=light,
                             heavy_count=fn[heavy],
                         )
                     )

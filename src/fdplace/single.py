@@ -9,17 +9,18 @@ count). solve_fast makes two passes over the nodes. The first runs top
 down and labels each node that takes some but not all of its leaves'
 replicas, once: its children are filled or share the rest, and each
 unfilled child is flagged when it must also be priced at one replica
-more. The second runs bottom up and keeps, per labeled node, a light
-and a heavy histogram of failure numbers. A node with several unfilled
-children builds fresh histograms and picks which children take the
-extra replicas. A node with a single unfilled child extends that
+more; it leaves one record per labeled node. The second runs bottom up
+and keeps, per labeled node, a light and a heavy histogram of failure
+numbers. A node with a single non-empty unfilled child extends that
 child's histograms in place by the filled children's mass, so a run of
-such nodes costs no more than its drop in mass. A node whose share
-leaves its unfilled children empty gets no histograms from them: one
-replica in an empty child fails just the path to its shallowest leaf,
-so a rank selection on that depth (ties by position) picks the
-children that take the extra replicas, and two sums price them all.
-solve_greedy grows the placement one replica at a time.
+such nodes costs no more than its drop in mass. Any other node builds
+fresh histograms, and one rank selection (_cheapest) picks the children
+that take the extra replicas, at its mass and at one replica more.
+Children left empty rank by the depth of their shallowest leaf (one
+replica there fails just that path) and two sums price them all;
+others rank by their step from light to heavy; ties go by position.
+solve_basic picks with its own code (select_heavy), so the two check
+one another. solve_greedy grows the placement one replica at a time.
 
 Both recursive solvers start at the tree's virtual root, whose children
 are the model's roots and which adds no entry of its own, so a forest
@@ -91,9 +92,17 @@ class LabelResult:
 
     filled: frozenset[int]
     unfilled: frozenset[int]
-    base_assignment: dict[int, int]
     remaining: int
     heavy_count: int
+
+    @property
+    def base_assignment(self) -> dict[int, int]:
+        """The base share of each unfilled child, by position. No solver
+        reads it, so it is built only when asked for."""
+        if not self.unfilled:
+            return {}
+        base = self.remaining // len(self.unfilled)
+        return {i: base for i in sorted(self.unfilled)}
 
 
 def label_children(capacities: list[int] | tuple[int, ...], r: int) -> LabelResult:
@@ -147,18 +156,11 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> LabelResu
             pool = []
 
     remaining = r - sum(caps[i] for i in filled)
-    if unfilled:
-        base = remaining // len(unfilled)
-        heavy = remaining % len(unfilled)
-    else:
-        base = 0
-        heavy = 0
     return LabelResult(
         filled=frozenset(filled),
         unfilled=frozenset(unfilled),
-        base_assignment={i: base for i in sorted(unfilled)},
         remaining=remaining,
-        heavy_count=heavy,
+        heavy_count=remaining % len(unfilled) if unfilled else 0,
     )
 
 
@@ -227,10 +229,6 @@ def _at(kids: list[int], positions: frozenset[int]) -> list[int]:
     return [c for i, c in enumerate(kids) if i in positions]
 
 
-def _label_base(label: LabelResult) -> int:
-    return label.remaining // len(label.unfilled)
-
-
 def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:
     ids = tree.ids
     return Placement(leaves=frozenset([ids[u] for u in leaves]))
@@ -282,7 +280,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
             label = label_children([leaf_count[c] for c in kids], m)
             labels[(u, m)] = label
         unf = sorted(label.unfilled)
-        base = _label_base(label) if unf else 0
+        base = label.remaining // len(unf) if unf else 0
         beta = label.heavy_count
         needed = [(kids[i], base) for i in unf]
         if beta > 0:
@@ -337,83 +335,48 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
     return FailureAggregate(entries=memo[(top, rho)], rho=rho), _placement(tree, out)
 
 
-def _divide(
-    tree: Tree, rho: int
-) -> tuple[list[int], dict[int, int], dict[int, bool], dict[int, LabelResult]]:
+# A labeled node: (node, mass, need, label, unfilled children, filled
+# children). need is set when the node is also priced at one replica more.
+Record = tuple[int, int, bool, LabelResult, list[int], list[int]]
+
+
+def _divide(tree: Tree, rho: int) -> list[Record]:
     """Top-down pass from the virtual root, which holds all rho
     replicas. Labels every node that takes some but not all of its
-    leaves' replicas, once, and records each unfilled child's light mass
-    and whether it must also be priced at one replica more: when its
-    parent is, or when its parent moves extra replicas down. Returns the
-    labeled nodes parents first."""
+    leaves' replicas, once, and hands each unfilled child its light
+    mass and whether it must also be priced at one replica more: when
+    its parent is, or when its parent moves extra replicas down. Returns
+    one record per labeled node, parents first."""
     leaf_count = tree.leaf_count
-    top = tree.root
-    mass: dict[int, int] = {top: rho}
-    need: dict[int, bool] = {top: False}
-    labels: dict[int, LabelResult] = {}
-    order: list[int] = []
-    pending: list[int] = [top]
+    records: list[Record] = []
+    pending: list[tuple[int, int, bool]] = [(tree.root, rho, False)]
     while pending:
-        u = pending.pop()
-        order.append(u)
+        u, m, nh = pending.pop()
         kids = tree.children(u)
-        label = label_children([leaf_count[c] for c in kids], mass[u])
-        labels[u] = label
-        if not label.unfilled:
-            continue
-        base = _label_base(label)
-        if not base:
-            # The unfilled children are empty; the bottom-up pass prices
-            # them in closed form.
-            continue
-        child_need = need[u] or label.heavy_count >= 1
-        for c in _at(kids, label.unfilled):
-            # An unfilled child has more leaves than base, so it has
-            # children to label.
-            mass[c] = base
-            need[c] = child_need
-            pending.append(c)
-    return order, mass, need, labels
+        label = label_children([leaf_count[c] for c in kids], m)
+        unf = _at(kids, label.unfilled)
+        records.append((u, m, nh, label, unf, _at(kids, label.filled)))
+        # Unfilled children that stay empty are priced in closed form by
+        # the bottom-up pass. The others have more leaves than their
+        # share, so they have children to label.
+        if unf and label.remaining >= len(unf):
+            child_need = nh or label.heavy_count >= 1
+            base = label.remaining // len(unf)
+            pending.extend((c, base, child_need) for c in unf)
+    return records
 
 
-def _shallowest(tree: Tree, unf: list[int], beta: int, heavy: bool) -> tuple[list[int], list[int]]:
-    """The empty children that take the extra replicas: beta of them at
-    the node's mass and beta + 1 at one more (when heavy).
-
-    One replica in an empty child goes to its shallowest leaf and fails
-    just that path, min_rel_depth + 1 nodes, so its step from light to
-    heavy is (path, -path). select_heavy would therefore pick the
-    shallowest children, ties by position; one rank selection on the
-    int keys depth * len(unf) + position finds them in linear time.
-    """
+def _cheapest(keys: list, beta: int, heavy: bool) -> tuple[set[int], set[int]]:
+    """Positions of the beta smallest keys and, when heavy, of the
+    beta + 1 smallest, by one rank selection. The keys must be distinct,
+    so the beta smallest are the beta + 1 smallest but the rank-beta
+    one."""
     k = beta + 1 if heavy else beta
     if not k:
-        return [], []
-    n = len(unf)
-    depth = tree.min_rel_depth
-    keys = [depth[c] * n + i for i, c in enumerate(unf)]
+        return set(), set()
     cut = nth_smallest(keys, k - 1)
-    picked = [key for key in keys if key <= cut]
-    if not heavy:
-        return [unf[key % n] for key in picked], []
-    # Keys are distinct, so the beta cheapest are the picked ones but
-    # the rank-k key itself.
-    return [unf[key % n] for key in picked if key != cut], [unf[key % n] for key in picked]
-
-
-def _empty_hist(tree: Tree, size: int, nodes: int, picked: list[int]) -> list[int]:
-    """Histogram of empty children with nodes nodes in all, where each
-    picked child holds one replica on its shallowest leaf."""
-    path = sum(tree.min_rel_depth[c] + 1 for c in picked)
-    hist = [0] * size
-    hist[0] = nodes - path
-    hist[1] = path
-    return hist
-
-
-def _add(dst: list[int], src: list[int]) -> None:
-    for f, v in enumerate(src):
-        dst[f] += v
+    picked = {i for i, key in enumerate(keys) if key <= cut}
+    return ({i for i in picked if keys[i] < cut}, picked) if heavy else (picked, set())
 
 
 def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
@@ -422,65 +385,64 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     tree = model.tree
     _check_rho(tree, rho)
     top = tree.root
-    order, mass, need, labels = _divide(tree, rho)
+    depth, node_count = tree.min_rel_depth, tree.node_count
+    records = _divide(tree, rho)
 
     # Bottom-up pass. Per labeled node, hists holds the histogram by
     # failure number of its subtree's best aggregate at its mass
     # (light) and, when needed, at one replica more (heavy); both then
-    # have mass + 2 slots so that siblings compare slot for slot.
+    # have mass + 2 slots so that siblings compare slot for slot. picks
+    # holds the positions among its unfilled children that take the
+    # extra replicas, light and heavy.
     hists: dict[int, tuple[list[int], list[int] | None]] = {}
-    choices: dict[int, tuple[set[int], set[int]]] = {}
-    shallow: dict[int, tuple[list[int], list[int]]] = {}
-    for u in reversed(order):
-        kids = tree.children(u)
-        label = labels[u]
-        m = mass[u]
-        nh = need[u]
+    picks: dict[int, tuple[set[int], set[int]]] = {}
+    for u, m, nh, label, unf, filled in reversed(records):
         size = m + 2 if nh else m + 1
-        unf = _at(kids, label.unfilled)
-        if unf and not _label_base(label):
-            # Every unfilled child is empty: all its nodes sit at failure
-            # number 0 but the path to its shallowest leaf, which moves
-            # to 1 when the child is picked for an extra replica.
-            light_sel, heavy_sel = _shallowest(tree, unf, label.heavy_count, nh)
-            shallow[u] = (
-                [tree.min_depth_leaf[c] for c in light_sel],
-                [tree.min_depth_leaf[c] for c in heavy_sel],
-            )
-            nodes = sum(tree.node_count[c] for c in unf)
-            light = _empty_hist(tree, size, nodes, light_sel)
-            heavy = _empty_hist(tree, size, nodes, heavy_sel) if nh else None
-        elif len(unf) == 1:
+        beta = label.heavy_count
+        if len(unf) == 1 and label.remaining:
             # The only unfilled child takes every extra replica, so its
             # lists are extended in place by the filled children's mass.
             light, heavy = hists.pop(unf[0])
             light.extend([0] * (size - len(light)))
             if nh:
                 heavy.extend([0] * (size - len(heavy)))
+        elif label.remaining < len(unf):
+            # Every unfilled child is empty: all its nodes sit at failure
+            # number 0 but the path to its shallowest leaf, which moves
+            # to 1 when the child takes an extra replica. That step is
+            # (path, -path), so the shallowest children are the
+            # cheapest, ties by position.
+            n = len(unf)
+            picks[u] = light_sel, heavy_sel = _cheapest(
+                [depth[c] * n + i for i, c in enumerate(unf)], beta, nh
+            )
+            nodes = sum(node_count[c] for c in unf)
+            light = [0] * size
+            heavy = [0] * size if nh else None
+            for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):
+                path = sum(depth[unf[i]] + 1 for i in sel)
+                hist[0] = nodes - path
+                hist[1] = path
         else:
             kid_hists = [hists.pop(c) for c in unf]
             light = [0] * size
             heavy = [0] * size if nh else None
-            beta = label.heavy_count
-            light_sel: set[int] = set()
-            heavy_sel: set[int] = set()
+            light_sel = heavy_sel = set()
             if beta >= 1 or nh:
-                # select_heavy compares aggregates, highest failure
-                # number first.
-                pairs = [
-                    ChildValuePair(light=tuple(reversed(cl)), heavy=tuple(reversed(ch)))
-                    for cl, ch in kid_hists
+                # A child's step from light to heavy, compared from the
+                # highest failure number down.
+                keys = [
+                    ([h - l for l, h in zip(cl, ch)][::-1], i)
+                    for i, (cl, ch) in enumerate(kid_hists)
                 ]
-                if beta >= 1:
-                    light_sel = select_heavy(pairs, beta)
-                if nh:
-                    heavy_sel = select_heavy(pairs, beta + 1)
-                choices[u] = (light_sel, heavy_sel)
+                light_sel, heavy_sel = _cheapest(keys, beta, nh)
+            picks[u] = light_sel, heavy_sel
             for i, (cl, ch) in enumerate(kid_hists):
-                _add(light, ch if i in light_sel else cl)
+                for f, v in enumerate(ch if i in light_sel else cl):
+                    light[f] += v
                 if nh:
-                    _add(heavy, ch if i in heavy_sel else cl)
-        filled = _at(kids, label.filled)
+                    for f, v in enumerate(ch if i in heavy_sel else cl):
+                        heavy[f] += v
         _fill([light, heavy] if nh else [light], tree, filled)
         if u != top:
             light[m] += 1
@@ -488,27 +450,23 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 heavy[m + 1] += 1
         hists[u] = (light, heavy)
 
-    # Witness walk: the heavy flag goes down to the only unfilled child,
-    # or to the children chosen for it; an empty child chosen for it
-    # contributes its shallowest leaf.
+    # Witness, parents first: the heavy flag goes down to the only
+    # non-empty unfilled child, or to the children picked for it; an
+    # empty child picked contributes its shallowest leaf.
     out: list[int] = []
-    walk: list[tuple[int, bool]] = [(top, False)]
-    while walk:
-        u, hv = walk.pop()
-        kids = tree.children(u)
-        label = labels[u]
-        out.extend(_leaves_below(tree, _at(kids, label.filled)))
-        if u in shallow:
-            light_leaves, heavy_leaves = shallow[u]
-            out.extend(heavy_leaves if hv else light_leaves)
+    flagged: set[int] = set()
+    for u, _, _, label, unf, filled in records:
+        out.extend(_leaves_below(tree, filled))
+        hv = u in flagged
+        if len(unf) == 1 and label.remaining:
+            if hv:
+                flagged.add(unf[0])
             continue
-        unf = _at(kids, label.unfilled)
-        if len(unf) == 1:
-            walk.append((unf[0], hv))
-            continue
-        light_sel, heavy_sel = choices.get(u, (set(), set()))
-        sel = heavy_sel if hv else light_sel
-        walk.extend((c, i in sel) for i, c in enumerate(unf))
+        sel = picks[u][hv]
+        if label.remaining < len(unf):
+            out.extend(tree.min_depth_leaf[unf[i]] for i in sel)
+        else:
+            flagged.update(unf[i] for i in sel)
 
     entries = tuple(reversed(hists[top][0]))
     return FailureAggregate(entries=entries, rho=rho), _placement(tree, out)

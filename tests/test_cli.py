@@ -194,8 +194,10 @@ def test_infeasible_requests_exit_3(capsys):
     model = fixture_path("two_rows.json")
     code, _out, err = run_cli(capsys, "solve-single", model, "--rho", "100")
     assert code == 3 and "error:" in err
-    code, _out, _err = run_cli(capsys, "solve-multi", model, "--sizes", "10")
+    code, _out, err = run_cli(capsys, "solve-multi", model, "--sizes", "10")
     assert code == 3
+    # The oracle refuses the same request with the same message.
+    assert run_cli(capsys, "oracle-multi", model, "--sizes", "10") == (3, "", err)
     # Refused by the leaf count before any census of that length exists.
     code, out, err = run_cli(capsys, "solve-multi", model, "--sizes", "3,99999999999999")
     assert code == 3 and out == ""

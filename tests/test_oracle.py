@@ -51,6 +51,9 @@ def test_oracle_single_guard_and_bounds(two_rows):
         oracle_single(two_rows, 0)
     with pytest.raises(InfeasibleError):
         oracle_single(two_rows, 10)
+    for guard in (0, -3):
+        with pytest.raises(GuardLimitError, match="guard must be positive"):
+            oracle_single(two_rows, 3, guard=guard)
 
 
 def test_guard_env_override(two_rows, monkeypatch):

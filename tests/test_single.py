@@ -231,9 +231,11 @@ def test_fast_equals_basic_on_deeper_trees():
         model = random_model(leaves=leaves, seed=6000 + trial, max_fanout=3)
         for _ in range(3):
             rho = rng.randint(1, leaves)
-            basic_agg, _ = solve_basic(model, rho)
+            basic_agg, basic_placement = solve_basic(model, rho)
             fast_agg, placement = solve_fast(model, rho)
             assert fast_agg.entries == basic_agg.entries, (trial, rho)
+            # Multi-child nodes pick by the same step and tie-break.
+            assert placement == basic_placement, (trial, rho)
             assert failure_aggregate(model, placement, rho).entries == fast_agg.entries
 
 
