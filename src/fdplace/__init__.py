@@ -1,8 +1,8 @@
 """Lexicographically optimal replica placement on failure-domain trees.
 
 The package root exposes solving, evaluation and parsing. Internals
-such as the labeling and selection helpers, the plan nodes, the merge
-kernel and the lemma helpers stay importable from their own modules.
+such as the labeling and selection helpers, the merge kernel and the
+lemma helpers stay importable from their own modules.
 """
 
 from __future__ import annotations

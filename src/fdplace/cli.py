@@ -13,12 +13,15 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict
 
 from .errors import GuardLimitError, InfeasibleError, ModelError, SkewOverrideError
 from .generate import random_model
 from .metrics import (
+    FailureAggregate,
     MultiPlacement,
+    Placement,
     failure_aggregate,
     multi_aggregate,
     parse_multi_placement,
@@ -30,28 +33,22 @@ from .oracle import check_balanced, oracle_multi, oracle_single
 from .single import solve_basic, solve_fast, solve_greedy
 
 
-def _load_model(path: str) -> tuple[FailureModel, str]:
+def _read(path: str, what: str) -> tuple[str, bytes]:
+    """The text and the bytes of a file; what names it in a refusal."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ModelError(f"cannot read model file: {exc}") from exc
-    digest = hashlib.sha256(data).hexdigest()
+        raise ModelError(f"cannot read {what}: {exc}") from exc
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8"), data
     except UnicodeDecodeError as exc:
-        raise ModelError(f"model file is not UTF-8: {exc}") from exc
-    return parse_model(text), digest
+        raise ModelError(f"{what} is not UTF-8: {exc}") from exc
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ModelError(f"cannot read file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ModelError(f"file is not UTF-8: {exc}") from exc
+def _load_model(path: str) -> tuple[FailureModel, str]:
+    text, data = _read(path, "model file")
+    return parse_model(text), hashlib.sha256(data).hexdigest()
 
 
 def _parse_sizes(raw: str) -> list[int]:
@@ -64,94 +61,80 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report))
+Found = Placement | MultiPlacement
+Solve = Callable[[FailureModel], tuple[FailureAggregate, Found]]
 
 
-def _report(command: str, digest: str, agg, found, started: float, algorithm: str) -> dict:
+def _run(args: argparse.Namespace, solve: Solve) -> int:
+    """Load the model, time solve on it, print the report to stdout and
+    the objective to stderr."""
+    model, digest = _load_model(args.model)
+    started = time.perf_counter()
+    agg, found = solve(model)
     if isinstance(found, MultiPlacement):
         witness = {"blocks": [sorted(block) for block in found.blocks]}
     else:
         witness = {"leaves": sorted(found.leaves)}
-    return {
-        "command": command,
+    report = {
+        "command": args.command,
         "model_digest": digest,
         "objective": list(agg.entries),
         "witness": witness,
         "wall_time_ms": int(round((time.perf_counter() - started) * 1000)),
-        "algorithm": algorithm,
+        "algorithm": args.algorithm,
     }
+    print(f"objective {agg}", file=sys.stderr)
+    print(json.dumps(report))
+    return 0
 
 
 def _cmd_solve_single(args: argparse.Namespace) -> int:
-    model, digest = _load_model(args.model)
     solvers = {"basic": solve_basic, "fast": solve_fast, "greedy": solve_greedy}
-    started = time.perf_counter()
-    agg, placement = solvers[args.algorithm](model, args.rho)
-    report = _report("solve-single", digest, agg, placement, started, args.algorithm)
-    print(f"objective {agg}", file=sys.stderr)
-    _emit(report)
-    return 0
+    return _run(args, lambda model: solvers[args.algorithm](model, args.rho))
 
 
 def _cmd_solve_multi(args: argparse.Namespace) -> int:
-    model, digest = _load_model(args.model)
-    sizes = _parse_sizes(args.sizes)
-    started = time.perf_counter()
-    agg, mp = solve_multi(model, sizes, skew=args.skew)
-    report = _report("solve-multi", digest, agg, mp, started, "dp")
-    print(f"objective {agg}", file=sys.stderr)
-    _emit(report)
-    return 0
+    return _run(args, lambda model: solve_multi(model, _parse_sizes(args.sizes), skew=args.skew))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    model, digest = _load_model(args.model)
-    if (args.placement is None) == (args.blocks is None):
-        raise ModelError("eval needs exactly one of --placement or --blocks")
-    started = time.perf_counter()
-    if args.placement is not None:
-        found = parse_placement(_read_text(args.placement))
+    def solve(model: FailureModel) -> tuple[FailureAggregate, Found]:
+        if (args.placement is None) == (args.blocks is None):
+            raise ModelError("eval needs exactly one of --placement or --blocks")
+        if args.placement is None:
+            if args.rho is not None:
+                raise ModelError("--rho applies only to --placement")
+            found = parse_multi_placement(_read(args.blocks, "file")[0])
+            return multi_aggregate(model, found), found
+        found = parse_placement(_read(args.placement, "file")[0])
         leaves = model.tree.leaf_total
         if args.rho is not None and args.rho > leaves:
             raise ModelError(f"rho={args.rho} exceeds the {leaves} leaves of the model")
         rho = args.rho if args.rho is not None else len(found.leaves)
-        agg = failure_aggregate(model, found, rho)
-    else:
-        if args.rho is not None:
-            raise ModelError("--rho applies only to --placement")
-        found = parse_multi_placement(_read_text(args.blocks))
-        agg = multi_aggregate(model, found)
-    report = _report("eval", digest, agg, found, started, "eval")
-    print(f"objective {agg}", file=sys.stderr)
-    _emit(report)
-    return 0
+        return failure_aggregate(model, found, rho), found
+
+    return _run(args, solve)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     model, _digest = _load_model(args.model)
-    placement = parse_placement(_read_text(args.placement))
+    placement = parse_placement(_read(args.placement, "file")[0])
     violations = check_balanced(model, placement)
-    _emit({"balanced": not violations, "violations": [asdict(v) for v in violations]})
+    print(json.dumps({"balanced": not violations, "violations": [asdict(v) for v in violations]}))
     return 0
 
 
 def _cmd_oracle_single(args: argparse.Namespace) -> int:
-    model, digest = _load_model(args.model)
-    started = time.perf_counter()
-    agg, optima = oracle_single(model, args.rho, guard=args.guard)
-    print(f"{len(optima)} optimal placements", file=sys.stderr)
-    _emit(_report("oracle-single", digest, agg, optima[0], started, "oracle-single"))
-    return 0
+    def solve(model: FailureModel) -> tuple[FailureAggregate, Found]:
+        agg, optima = oracle_single(model, args.rho, guard=args.guard)
+        print(f"{len(optima)} optimal placements", file=sys.stderr)
+        return agg, optima[0]
+
+    return _run(args, solve)
 
 
 def _cmd_oracle_multi(args: argparse.Namespace) -> int:
-    model, digest = _load_model(args.model)
-    sizes = _parse_sizes(args.sizes)
-    started = time.perf_counter()
-    agg, mp = oracle_multi(model, sizes, guard=args.guard)
-    _emit(_report("oracle-multi", digest, agg, mp, started, "oracle-multi"))
-    return 0
+    return _run(args, lambda model: oracle_multi(model, _parse_sizes(args.sizes), guard=args.guard))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -194,14 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--sizes", required=True, help="comma-separated block sizes")
     p.add_argument("--skew", type=int, default=None)
-    p.set_defaults(func=_cmd_solve_multi)
+    p.set_defaults(func=_cmd_solve_multi, algorithm="dp")
 
     p = sub.add_parser("eval", help="score a given placement")
     p.add_argument("model")
     p.add_argument("--placement")
     p.add_argument("--blocks")
     p.add_argument("--rho", type=int, default=None)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, algorithm="eval")
 
     p = sub.add_parser("check", help="report balance violations of a placement")
     p.add_argument("model")
@@ -212,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--guard", type=int, default=None)
-    p.set_defaults(func=_cmd_oracle_single)
+    p.set_defaults(func=_cmd_oracle_single, algorithm="oracle-single")
 
     p = sub.add_parser("oracle-multi", help="exhaustive multi-block reference")
     p.add_argument("model")
     p.add_argument("--sizes", required=True)
     p.add_argument("--guard", type=int, default=None)
-    p.set_defaults(func=_cmd_oracle_multi)
+    p.set_defaults(func=_cmd_oracle_multi, algorithm="oracle-multi")
 
     p = sub.add_parser("gen", help="generate a random model")
     p.add_argument("--leaves", type=int, required=True)

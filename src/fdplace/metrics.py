@@ -11,7 +11,7 @@ failure counts.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import ModelError
@@ -111,16 +111,17 @@ def parse_multi_placement(text: str) -> MultiPlacement:
     return MultiPlacement(blocks=tuple(blocks))
 
 
-def _leaf_indices(tree: Tree, leaves: Iterable[str]) -> list[int]:
-    """The tree indices of placed leaves, refusing anything else."""
+def _leaf_indices(tree: Tree, leaves: Collection[str]) -> list[int]:
+    """The tree indices of placed leaves, refusing anything else by the
+    smallest id that is not a leaf, whatever the set's order."""
     index, capacity = tree.index, tree.capacity
     out = []
     for leaf in leaves:
         u = index.get(leaf)
-        if u is None:
-            raise ModelError(f"placement names unknown node {leaf!r}")
-        if not capacity[u]:
-            raise ModelError(f"placement names internal node {leaf!r}")
+        if u is None or not capacity[u]:
+            bad = min(x for x in leaves if x not in index or not capacity[index[x]])
+            kind = "unknown" if bad not in index else "internal"
+            raise ModelError(f"placement names {kind} node {bad!r}")
         out.append(u)
     return out
 
@@ -162,11 +163,15 @@ def failure_numbers(model: FailureModel, placement: Placement) -> dict[str, int]
     return fn
 
 
-def failure_aggregate(model: FailureModel, placement: Placement, rho: int) -> FailureAggregate:
+def _check_girth(placement: Placement, rho: int) -> None:
     if rho < len(placement.leaves):
         raise ModelError(
             f"rho={rho} is smaller than the placement size {len(placement.leaves)}"
         )
+
+
+def failure_aggregate(model: FailureModel, placement: Placement, rho: int) -> FailureAggregate:
+    _check_girth(placement, rho)
     entries = [0] * (rho + 1)
     _aggregate(model.tree, _leaf_indices(model.tree, placement.leaves), entries)
     return FailureAggregate(entries=tuple(entries), rho=rho)
@@ -177,12 +182,14 @@ def multi_aggregate(model: FailureModel, mp: MultiPlacement) -> FailureAggregate
     rho = mp.girth()
     tree = model.tree
     blocks = [_leaf_indices(tree, block) for block in mp.blocks]
-    for leaf, used in Counter(leaf for block in blocks for leaf in block).items():
-        cap = tree.capacity[leaf]
-        if used > cap:
-            raise ModelError(
-                f"leaf {tree.ids[leaf]!r} holds {used} replicas but has capacity {cap}"
-            )
+    used = Counter(leaf for block in blocks for leaf in block)
+    ids, capacity = tree.ids, tree.capacity
+    over = [leaf for leaf, n in used.items() if n > capacity[leaf]]
+    if over:
+        leaf = min(over, key=ids.__getitem__)
+        raise ModelError(
+            f"leaf {ids[leaf]!r} holds {used[leaf]} replicas but has capacity {capacity[leaf]}"
+        )
     entries = [0] * (rho + 1)
     for block in blocks:
         _aggregate(tree, block, entries)
@@ -259,10 +266,7 @@ def path_aggregate(
     for node_id in (from_node, to_node):
         if node_id not in tree.index:
             raise ModelError(f"unknown node {node_id!r}")
-    if rho < len(placement.leaves):
-        raise ModelError(
-            f"rho={rho} is smaller than the placement size {len(placement.leaves)}"
-        )
+    _check_girth(placement, rho)
     path = tree.up(tree.index[to_node])
     start = tree.index[from_node]
     if start not in path:

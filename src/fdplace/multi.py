@@ -31,7 +31,7 @@ from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
 # postorder and subtree_stats are not called here, but bench/tracer.py
 # wraps these bindings.
-from .model import FailureModel, postorder, subtree_stats  # noqa: F401
+from .model import FailureModel, Tree, postorder, subtree_stats  # noqa: F401
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
@@ -251,6 +251,19 @@ def _natural_skew(sizes: tuple[int, ...]) -> int:
     return max(max(sizes) - min(sizes), 1)
 
 
+def _check_fit(tree: Tree, sizes: tuple[int, ...]) -> None:
+    """Refuse a block above the leaf count, then replicas above capacity."""
+    if max(sizes) > tree.leaf_total:
+        raise InfeasibleError(
+            f"block size {max(sizes)} exceeds the {tree.leaf_total} available leaves"
+        )
+    total_capacity = sum(tree.capacity)
+    if sum(sizes) > total_capacity:
+        raise InfeasibleError(
+            f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
+        )
+
+
 def target_signature(sizes: list[int] | tuple[int, ...]) -> tuple[Signature, int]:
     """Census of the requested block sizes plus the natural skew bound:
     the size spread, but at least 1."""
@@ -293,20 +306,12 @@ def solve_multi(
             )
         delta = min(skew, rho)
     else:
-        delta = min(natural, rho)
+        delta = natural  # at most max(rho - 1, 1) <= rho, as sizes are at least 1
 
-    # Both checks run before anything of length rho is allocated.
+    # Refused before anything of length rho is allocated.
     tree = model.tree
+    _check_fit(tree, sizes)
     top, capacity = tree.root, tree.capacity
-    if rho > tree.leaf_total:
-        raise InfeasibleError(
-            f"block size {rho} exceeds the {tree.leaf_total} available leaves"
-        )
-    total_capacity = sum(capacity)
-    if sum(sizes) > total_capacity:
-        raise InfeasibleError(
-            f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
-        )
     target = signature_of_sizes(sizes)
 
     # Every aggregate digit counts (node, block) pairs, the virtual

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement, _counts, _leaf_indices
 from .model import FailureModel, Tree
+from .multi import _check_fit, _natural_skew
+from .single import _check_rho
 
 DEFAULT_GUARD = 1_000_000
 
@@ -47,11 +49,8 @@ def oracle_single(
     achieves it, in lexicographic order of the sorted leaf-id tuples.
     """
     tree = model.tree
+    _check_rho(tree, rho)
     leaves = _leaves_by_id(tree)
-    if rho < 1:
-        raise InfeasibleError(f"rho must be at least 1, got {rho}")
-    if rho > len(leaves):
-        raise InfeasibleError(f"rho={rho} exceeds the {len(leaves)} available leaves")
     space = math.comb(len(leaves), rho)
     limit = _resolve_guard(guard)
     if space > limit:
@@ -128,23 +127,11 @@ def oracle_multi(
     blocks in non-decreasing subset order).
     """
     sizes = tuple(sizes)
-    if not sizes:
-        raise InfeasibleError("no block sizes given")
-    if any(s < 1 for s in sizes):
-        raise InfeasibleError("every block size must be at least 1")
+    _natural_skew(sizes)  # refuses empty or non-positive sizes
     tree = model.tree
+    _check_fit(tree, sizes)
     leaves = _leaves_by_id(tree)
     capacity = tree.capacity
-    # The checks and messages of solve_multi, in its order.
-    if max(sizes) > len(leaves):
-        raise InfeasibleError(
-            f"block size {max(sizes)} exceeds the {len(leaves)} available leaves"
-        )
-    total_capacity = sum(capacity)
-    if sum(sizes) > total_capacity:
-        raise InfeasibleError(
-            f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
-        )
     rho = max(sizes)
 
     order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))

@@ -204,6 +204,15 @@ def test_infeasible_requests_exit_3(capsys):
     assert "exceeds the 9 available leaves" in err
     code, _out, _err = run_cli(capsys, "oracle-single", model, "--rho", "0")
     assert code == 3
+    # Each refusal rule has one owner, so solver and oracle answer alike.
+    for command, oracle, request, values in (
+        ("solve-single", "oracle-single", "--rho", ("0", "100")),
+        ("solve-multi", "oracle-multi", "--sizes", ("0", "10", "5,5")),
+    ):
+        for value in values:
+            solved = run_cli(capsys, command, model, request, value)
+            assert solved[0] == 3 and solved[1] == "" and solved[2].startswith("error: ")
+            assert run_cli(capsys, oracle, model, request, value) == solved
 
 
 def test_oracle_guard_exits_3(capsys, monkeypatch):
@@ -353,6 +362,10 @@ def test_undecodable_placements_exit_2(capsys, tmp_path):
     huge.write_text('{"blocks": [[' + "9" * 5000 + "]]}")
     code, out, err = run_cli(capsys, "eval", model, "--blocks", str(huge))
     assert code == 2 and out == "" and err.startswith("error: invalid JSON:")
+    missing = str(tmp_path / "missing.json")
+    for option in ("--blocks", "--placement"):
+        code, out, err = run_cli(capsys, "eval", model, option, missing)
+        assert code == 2 and out == "" and err.startswith("error: cannot read file:")
 
 
 def test_threads_flag_is_refused(capsys):

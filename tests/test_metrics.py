@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from fdplace.metrics import (
     signature_of_sizes,
     sub_signature,
 )
+from fdplace.model import parse_model
 
 from conftest import fixture_path
 
@@ -74,6 +76,15 @@ def test_failure_number_rejects_bad_input(two_rows):
         failure_number(two_rows, "row1", placement_of("rack1"))
     with pytest.raises(ModelError):
         failure_numbers(two_rows, placement_of("ghost"))
+    # Of many non-leaves, the refusal names the smallest id, whatever the
+    # order the placement's set iterates in.
+    ghosts = [f"ghost{i:02d}" for i in range(30)]
+    internal = ["rack1", "rack2", "rack3", "rack4", "row1", "row2"]
+    cases = ((ghosts + internal, "unknown node 'ghost00'"), (internal, "internal node 'rack1'"))
+    for names, smallest in cases:
+        placement = placement_of("srv1", *names)
+        with pytest.raises(ModelError, match=smallest):
+            failure_aggregate(two_rows, placement, len(placement))
 
 
 def test_fixture_aggregates(two_rows):
@@ -138,6 +149,15 @@ def test_multi_aggregate_enforces_capacity(two_rows):
     mp = MultiPlacement(blocks=(frozenset({"srv1"}), frozenset({"srv1", "srv2"})))
     with pytest.raises(ModelError):
         multi_aggregate(two_rows, mp)
+    # Of 40 overfull leaves, the refusal names the smallest id, whatever
+    # the order the blocks' sets iterate in.
+    star = parse_model(json.dumps(
+        {"nodes": [{"id": "hub", "parent": None}]
+         + [{"id": f"s{i:02d}", "parent": "hub", "capacity": 1} for i in range(40)]}
+    ))
+    block = frozenset(f"s{i:02d}" for i in range(40))
+    with pytest.raises(ModelError, match="leaf 's00' holds 2 replicas but has capacity 1"):
+        multi_aggregate(star, MultiPlacement(blocks=(block, block)))
 
 
 def test_sub_signature_shared_tree(shared_tree):
