@@ -9,17 +9,25 @@ Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
 in the two child tables: the merge kernel enumerates the cell layouts
 with those margins once per pair, keeps the merged censuses inside the
-window, and caches them for the rest of the solve. Aggregates are
-packed into single ints, so a candidate costs one addition and one
-comparison.
+window that fit the target, and caches them for the rest of the solve.
+Aggregates are packed into single ints, so a candidate costs one
+addition and one comparison.
+
+A census fits the target when, with both sorted largest first, each of
+its parts (the replicas it holds of one block) is at most the matching
+requested size. A merge pairs parts one to one and only adds to them,
+so an ancestor's sorted parts dominate its descendants': a census that
+does not fit never grows into the target, and every census that fits
+is made only of censuses that fit. Dropping the rest therefore changes
+no kept value and no recorded choice.
 
 Down, one walk follows the recorded choices from the root and hands
 each child the block slots it fills, by size class; each leaf joins
 the blocks in its one-replica class. The cell layout behind a merge
 (its support) is rebuilt only for the merges this walk visits.
 
-build_phi tabulates the same kernel over every census pair, for
-checking it against brute force.
+build_phi tabulates the same kernel, without a target, over every
+census pair, for checking it against brute force.
 """
 
 from __future__ import annotations
@@ -81,7 +89,8 @@ def enum_weak_compositions(n: int, k: int):
 
 class MergeKernel:
     """Census splits of m blocks at girth rho under the skew bound
-    delta, enumerated per (left, right) census pair on first use.
+    delta, enumerated per (left, right) census pair on first use and,
+    given the requested sizes, kept only where they fit that target.
 
     Censuses are interned: an id indexes census (the vector) and packed
     (the vector as one int with `bits` bits a digit, entry 0 most
@@ -90,15 +99,22 @@ class MergeKernel:
     right parts holding rho - j.
     """
 
-    def __init__(self, rho: int, delta: int, bits: int) -> None:
+    def __init__(self, rho: int, delta: int, bits: int, sizes: Vector = ()) -> None:
         self.rho = rho
         self.delta = delta
         self.bits = bits
+        # The target's parts, largest first; with no sizes every census fits.
+        self.bound = tuple(sorted(sizes, reverse=True))
+        self.limit = sum(sizes)
         self.ids: dict[Vector, int] = {}
         self.census: list[Vector] = []
         self.packed: list[int] = []
         # parts[id]: the replicas of each block, largest first.
         self.parts: list[Vector] = []
+        # total[id]: the replicas of all blocks; fits[id]: whether each
+        # part is at most the matching part of the target.
+        self.total: list[int] = []
+        self.fits: list[bool] = []
         # merge_rows[left][right]: the cached result of merges(left, right).
         self.merge_rows: list[dict[int, list[tuple[int, int]]]] = []
         self._supports: dict[tuple[int, int, int], Support] = {}
@@ -109,7 +125,10 @@ class MergeKernel:
             cid = self.ids[vec] = len(self.census)
             self.census.append(vec)
             self.packed.append(self.pack(vec))
-            self.parts.append(tuple(self.rho - k for k, v in enumerate(vec) for _ in range(v)))
+            parts = tuple(self.rho - k for k, v in enumerate(vec) for _ in range(v))
+            self.parts.append(parts)
+            self.total.append(sum(parts))
+            self.fits.append(all(p <= s for p, s in zip(parts, self.bound)))
             self.merge_rows.append({})
         return cid
 
@@ -178,13 +197,16 @@ class MergeKernel:
 
     def merges(self, left: int, right: int) -> list[tuple[int, int]]:
         """(merged id, packed(merged) - packed(left)) for every census
-        in the window that left and right merge into; cached."""
+        in the window that fits the target and that left and right
+        merge into; cached."""
         found: dict[int, int] = {}
-        for layout in self.layouts(left, right):
-            sig = self.merged(layout)
-            if sig is not None:
-                sid = self.intern(sig)
-                found[sid] = self.packed[sid] - self.packed[left]
+        if not self.bound or self.total[left] + self.total[right] <= self.limit:
+            for layout in self.layouts(left, right):
+                sig = self.merged(layout)
+                if sig is not None:
+                    sid = self.intern(sig)
+                    if self.fits[sid]:
+                        found[sid] = self.packed[sid] - self.packed[left]
         out = list(found.items())
         self.merge_rows[left][right] = out
         return out
@@ -316,7 +338,7 @@ def solve_multi(
 
     # Every aggregate digit counts (node, block) pairs, the virtual
     # root included, so m * (nodes + 1) bounds it.
-    kernel = MergeKernel(rho, delta, (m * (top + 1)).bit_length())
+    kernel = MergeKernel(rho, delta, (m * (top + 1)).bit_length(), sizes)
     packed, merge_rows = kernel.packed, kernel.merge_rows
 
     # A table lists (census id, packed aggregate) in census order, so

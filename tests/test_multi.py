@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from fdplace.errors import (
     ModelError,
     SkewOverrideError,
 )
+from fdplace.generate import random_model
 from fdplace.metrics import (
     lex_cmp,
     multi_aggregate,
@@ -21,6 +23,8 @@ from fdplace.metrics import (
 )
 from fdplace.model import parse_model, render_model
 from fdplace.multi import (
+    MergeKernel,
+    _signature_domain,
     band_cell_count,
     build_phi,
     enum_weak_compositions,
@@ -261,8 +265,6 @@ def test_solve_multi_single_block_matches_basic(two_rows):
 
 
 def test_solve_multi_random_differential():
-    from fdplace.generate import random_model
-
     rng = random.Random(77)
     done = 0
     trial = 0
@@ -298,3 +300,64 @@ def test_signature_of_sizes_round_trip():
     assert sig.rho == 3
     with pytest.raises(ModelError):
         signature_of_sizes([])
+
+
+def fits(vec, sizes):
+    """Sorted largest first, each part of census vec is at most the
+    matching requested size."""
+    rho = len(vec) - 1
+    parts = sorted((rho - k for k, v in enumerate(vec) for _ in range(v)), reverse=True)
+    return all(p <= s for p, s in zip(parts, sorted(sizes, reverse=True)))
+
+
+def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
+    rng = random.Random(31)
+    dropped = 0
+    for _ in range(20):
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        natural = target_signature(sizes)[1]
+        rho, m = max(sizes), len(sizes)
+        delta = min(natural + rng.randint(0, 2), rho)
+        full = MergeKernel(rho, delta, 8)
+        pruned = MergeKernel(rho, delta, 8, sizes)
+        domain = _signature_domain(m, rho, delta)
+        for lvec in domain:
+            for rvec in domain:
+                want = {
+                    (full.census[sid], offset)
+                    for sid, offset in full.merges(full.intern(lvec), full.intern(rvec))
+                    if fits(full.census[sid], sizes)
+                }
+                got = pruned.merges(pruned.intern(lvec), pruned.intern(rvec))
+                assert {(pruned.census[sid], offset) for sid, offset in got} == want
+                assert all(fits(pruned.census[sid], sizes) for sid, _ in got)
+                dropped += len(full.merge_rows[full.ids[lvec]][full.ids[rvec]]) - len(got)
+    assert dropped > 0
+
+
+# Requests with a wide size spread, far beyond the oracle's reach:
+# (leaves, sizes) -> (objective, sha256 of the witness's sorted blocks).
+# The values predate the kernel's pruning to censuses that fit the target.
+PINNED_WIDE = {
+    (50, (12, 1)): (
+        (2, 0, 0, 0, 0, 0, 3, 0, 0, 1, 3, 24, 145),
+        "25d1516ee05d3f9cac6d0ccf31c3dfe1e0c398b4c9f1f3a7d75d05413ca20622",
+    ),
+    (50, (20, 1)): (
+        (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 4, 5, 32, 131),
+        "efc9feb39147b5dd23a00c86d37015ea2338cf323a2cef8e17022b79daca67cc",
+    ),
+    (200, (6, 4, 2, 2)): (
+        (2, 0, 2, 3, 7, 57, 1521),
+        "1a71a1812aa40dd97bd0e052cfe06331bc575b447362be5cb7d045e9b9689972",
+    ),
+}
+
+
+@pytest.mark.parametrize("leaves,sizes", list(PINNED_WIDE))
+def test_solve_multi_wide_spread_is_pinned(leaves, sizes):
+    model = random_model(leaves, 1)
+    agg, witness = solve_multi(model, sizes)
+    blocks = json.dumps([sorted(b) for b in witness.blocks]).encode()
+    assert (agg.entries, hashlib.sha256(blocks).hexdigest()) == PINNED_WIDE[(leaves, sizes)]
+    assert multi_aggregate(model, witness).entries == agg.entries
