@@ -12,9 +12,12 @@ Exactly the leaves carry "capacity". Node order in the file is
 preserved and used as the child order everywhere downstream.
 
 parse_model validates the entries and compiles them into a Tree, flat
-lists indexed by file position, which the solvers work on. The id-keyed
-surface (nodes, children, roots, leaves, subtree_stats, postorder) is
-derived from the tree on first use.
+lists indexed by file position, which the solvers work on. Parsing
+links the nodes and orders them bottom up; the subtree summaries that
+only the single-block solvers and the oracles read are computed the
+first time one of them is read. The id-keyed surface (nodes, children,
+roots, leaves, subtree_stats, postorder) is derived from the tree on
+first use.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
-from operator import eq, lt
+from functools import cached_property, partial
+from itertools import accumulate, chain, repeat
+from operator import eq, is_not, lt
+from types import NoneType
 
 from .errors import ModelError
 
@@ -42,6 +46,24 @@ class Node:
         return "internal-event" if self.capacity is None else "leaf-server"
 
 
+class _Summary:
+    """A subtree summary of Tree. Its first read runs Tree._summarize,
+    which sets all four as plain attributes that hide this descriptor.
+    (functools.cached_property would store them through the instance
+    __dict__, and on CPython 3.11 and 3.12 that makes every later
+    attribute read of the tree about three times slower, kids and first
+    included.)"""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, tree: Tree | None, owner: type | None = None) -> list[int] | _Summary:
+        if tree is None:
+            return self
+        tree._summarize()
+        return getattr(tree, self.name)
+
+
 @dataclass(eq=False)
 class Tree:
     """The compiled model. Node i is the i-th node in file order; node
@@ -49,10 +71,14 @@ class Tree:
     a solver can treat a forest as one tree. parent[u] is n for a root,
     capacity[u] is 0 on internal nodes, and u's children, in file order,
     are kids[first[u]:first[u + 1]]. bottom_up lists the real nodes,
-    each after all of its descendants. Per node, n included: leaf_count
+    each after all of its descendants.
+
+    The subtree summaries, per node, n included, are computed by one
+    pass over bottom_up the first time one of them is read: leaf_count
     and node_count count its subtree's leaves and nodes (n not counting
     itself); its shallowest leaf is min_depth_leaf (first in child order
-    on ties), min_rel_depth below it.
+    on ties), min_rel_depth below it. leaf_total, the number of leaves,
+    needs no such pass.
     """
 
     ids: list[str]
@@ -62,18 +88,35 @@ class Tree:
     first: list[int]
     kids: list[int]
     bottom_up: Sequence[int]
-    leaf_count: list[int]
-    node_count: list[int]
-    min_rel_depth: list[int]
-    min_depth_leaf: list[int]
+    leaf_total: int
 
     @property
     def root(self) -> int:
         return len(self.ids)
 
-    @property
-    def leaf_total(self) -> int:
-        return self.leaf_count[len(self.ids)]
+    leaf_count = _Summary()
+    node_count = _Summary()
+    min_rel_depth = _Summary()
+    min_depth_leaf = _Summary()
+
+    def _summarize(self) -> None:
+        n, parent = len(self.ids), self.parent
+        # Later siblings come first in bottom_up, so `<=` hands ties to
+        # the first child.
+        leaf_count = [1 if c else 0 for c in self.capacity] + [0]
+        node_count = [1] * n + [0]
+        depth = [0 if c else n for c in self.capacity] + [n]
+        best = list(range(n + 1))
+        for u in self.bottom_up:
+            p = parent[u]
+            leaf_count[p] += leaf_count[u]
+            node_count[p] += node_count[u]
+            d = depth[u] + 1
+            if d <= depth[p]:
+                depth[p] = d
+                best[p] = best[u]
+        self.leaf_count, self.node_count = leaf_count, node_count
+        self.min_rel_depth, self.min_depth_leaf = depth, best
 
     def children(self, u: int) -> list[int]:
         return self.kids[self.first[u] : self.first[u + 1]]
@@ -101,12 +144,13 @@ class Tree:
 
 
 def _compile(ids: list[str], index: dict[str, int], parents: list, capacity: list[int]) -> Tree:
-    """Link, check and summarize nodes given in file order: parents
-    holds parent ids, capacity 0 marks an internal node."""
+    """Link and check nodes given in file order: parents holds parent
+    ids, capacity 0 marks an internal node."""
     n = len(ids)
-    parent = [n if p is None else index.get(p, -1) for p in parents]
-    if -1 in parent:
-        u = parent.index(-1)
+    # Roots and unknown parents both map to n; only roots have None.
+    parent = list(map(index.get, parents, repeat(n)))
+    if parent.count(n) != parents.count(None):
+        u = next(u for u, p in enumerate(parents) if p is not None and parent[u] == n)
         raise ModelError(f"node {ids[u]!r} has unknown parent {parents[u]!r}")
 
     counts = [0] * (n + 1)
@@ -139,24 +183,7 @@ def _compile(ids: list[str], index: dict[str, int], parents: list, capacity: lis
             raise ModelError("model contains a parent cycle unreachable from any root")
         order.reverse()
         bottom_up = order
-
-    # Later siblings come first either way, so `<=` hands ties to the
-    # first child.
-    leaf_count = [1 if c else 0 for c in capacity] + [0]
-    node_count = [1] * n + [0]
-    depth = [0 if c else n for c in capacity] + [n]
-    best = list(range(n + 1))
-    for u in bottom_up:
-        p = parent[u]
-        leaf_count[p] += leaf_count[u]
-        node_count[p] += node_count[u]
-        d = depth[u] + 1
-        if d <= depth[p]:
-            depth[p] = d
-            best[p] = best[u]
-    return Tree(
-        ids, index, parent, capacity, first, kids, bottom_up, leaf_count, node_count, depth, best
-    )
+    return Tree(ids, index, parent, capacity, first, kids, bottom_up, n - capacity.count(0))
 
 
 class FailureModel:
@@ -219,7 +246,9 @@ class FailureModel:
         return cap
 
     def parent(self, node_id: str) -> str | None:
-        return self.nodes[node_id].parent
+        t = self.tree
+        p = t.parent[t.index[node_id]]
+        return None if p == len(t.ids) else t.ids[p]
 
     def node_ids(self) -> list[str]:
         return list(self.tree.ids)
@@ -245,15 +274,19 @@ def parse_model(text: str) -> FailureModel:
     parents, capacity on an internal node or missing on a leaf, parent
     cycles, or an empty model. The first problem in file order is
     reported, entry checks first, then parents, leaves and cycles.
+    Parsing computes no subtree summary (see Tree).
     """
     # The decoded document is freed before the tree is compiled.
     return FailureModel(tree=_compile(*_entries(decode_json(text))))
 
 
-def _entries(doc: object) -> tuple[list[str], dict[str, int], list[str | None], list[int]]:
-    """Check the document and its node entries one by one, in file
-    order; returns their ids, an id -> position index, their parent ids
-    and their capacities (0 for none)."""
+Entries = tuple[list[str], dict[str, int], list[str | None], list[int]]
+
+
+def _entries(doc: object) -> Entries:
+    """Check the document and its node entries; returns their ids, an
+    id -> position index, their parent ids and their capacities (0 for
+    none). The first problem in file order is reported."""
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ModelError('model document must be an object with a "nodes" array')
     raw_nodes = doc["nodes"]
@@ -261,7 +294,36 @@ def _entries(doc: object) -> tuple[list[str], dict[str, int], list[str | None], 
         raise ModelError('"nodes" must be an array')
     if not raw_nodes:
         raise ModelError("model has no nodes")
+    return _bulk_entries(raw_nodes) or _checked_entries(raw_nodes)
 
+
+def _bulk_entries(raw_nodes: list) -> Entries | None:
+    """What _checked_entries returns, from C-level passes over the whole
+    list, or None if one of them sees a problem; they only decide that
+    no entry has one, and the per-entry loop names the first."""
+    if set(map(type, raw_nodes)) != {dict}:
+        return None
+    if not FIELDS.issuperset(chain.from_iterable(raw_nodes)):
+        return None
+    ids = list(map(dict.get, raw_nodes, repeat("id")))
+    if set(map(type, ids)) != {str} or not all(ids):
+        return None
+    index = dict(zip(ids, range(len(ids))))
+    parents = list(map(dict.get, raw_nodes, repeat("parent")))
+    caps = list(map(dict.get, raw_nodes, repeat("capacity")))
+    if (
+        len(index) != len(ids)
+        or not {str, NoneType}.issuperset(map(type, parents))
+        or any(map(eq, ids, parents))
+        or not {int, NoneType}.issuperset(map(type, caps))
+        or min(filter(partial(is_not, None), caps), default=1) < 1
+    ):
+        return None
+    return ids, index, parents, [c or 0 for c in caps]
+
+
+def _checked_entries(raw_nodes: list) -> Entries:
+    """Check the node entries one by one, in file order."""
     ids: list[str] = []
     index: dict[str, int] = {}
     parents: list[str | None] = []

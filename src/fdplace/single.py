@@ -31,12 +31,14 @@ inside the solvers are subtree leaf counts. A child is filled when its
 subtree holds as many replicas as it has leaves.
 
 The solvers work on the compiled tree (model.Tree) that parsing built.
-Per node it holds the subtree's leaf count (its capacity here), its node
-count (the aggregate of a subtree left empty) and its shallowest leaf
-with that leaf's depth below the node (where an empty subtree takes one
-extra replica most cheaply), so a solve prepares nothing. A filled
-subtree's aggregate and its leaves come from a walk of just that
-subtree. Ids appear only in the returned placement.
+They read its subtree summaries: per node the subtree's leaf count (its
+capacity here), its node count (the aggregate of a subtree left empty)
+and its shallowest leaf with that leaf's depth below the node (where an
+empty subtree takes one extra replica most cheaply). The tree computes
+them in one pass the first time a solver reads one, so only the first
+solve on a model prepares anything. A filled subtree's aggregate and
+its leaves come from a walk of just that subtree. Ids appear only in
+the returned placement.
 """
 
 from __future__ import annotations

@@ -7,14 +7,20 @@ import pytest
 
 from fdplace.errors import ModelError
 from fdplace.generate import random_model
+from fdplace.metrics import MultiPlacement, Placement, failure_aggregate, multi_aggregate
 from fdplace.model import (
     FailureModel,
     Node,
+    Tree,
+    _bulk_entries,
+    _checked_entries,
+    _compile,
     parse_model,
     postorder,
     render_model,
     subtree_stats,
 )
+from fdplace.multi import solve_multi
 
 from conftest import fixture_path
 
@@ -35,6 +41,14 @@ def test_parse_two_rows_fixture(two_rows):
     assert two_rows.parent("row1") is None
     assert two_rows.nodes["row1"].kind == "internal-event"
     assert two_rows.nodes["srv9"].kind == "leaf-server"
+
+
+def test_parent_reads_the_tree_without_building_node_views(two_rows):
+    assert two_rows.parent("srv7") == "rack4"
+    assert two_rows.parent("row2") is None
+    with pytest.raises(KeyError):
+        two_rows.parent("ghost")
+    assert "nodes" not in two_rows.__dict__
 
 
 def test_child_order_follows_file_order():
@@ -268,6 +282,53 @@ def test_compiled_views_match_their_definitions(case):
         assert stats.min_depth_leaf[u] == next(w for w in leaves if depth[w] == shallowest)
 
 
+def eager_summaries(tree: Tree) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The subtree summaries by their definitions, node by node from the
+    children lists, the virtual root n included."""
+    n = len(tree.ids)
+    leaf_count, node_count, depth, best = ([0] * (n + 1) for _ in range(4))
+    for u in reversed(tree.walk([n])):
+        kids = tree.children(u)
+        if not kids:
+            leaf_count[u], node_count[u], depth[u], best[u] = 1, 1, 0, u
+            continue
+        leaf_count[u] = sum(leaf_count[c] for c in kids)
+        node_count[u] = sum(node_count[c] for c in kids) + (u != n)
+        shallowest = min(kids, key=depth.__getitem__)  # the first on ties
+        depth[u], best[u] = depth[shallowest] + 1, best[shallowest]
+    return leaf_count, node_count, depth, best
+
+
+def some_leaves(model: FailureModel, start: int, stop: int) -> frozenset[str]:
+    t = model.tree
+    return frozenset([t.ids[u] for u, c in enumerate(t.capacity) if c][start:stop])
+
+
+SUMMARIES = ("leaf_count", "node_count", "min_rel_depth", "min_depth_leaf")
+# Commands that never read the subtree summaries.
+NO_SUMMARIES = {
+    "failure_aggregate": lambda m: failure_aggregate(m, Placement(some_leaves(m, 0, 3)), 3),
+    "multi_aggregate": lambda m: multi_aggregate(
+        m, MultiPlacement((some_leaves(m, 0, 2), some_leaves(m, 2, 3)))
+    ),
+    "solve_multi": lambda m: solve_multi(m, (2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NO_SUMMARIES))
+@pytest.mark.parametrize("seed", range(3))
+def test_subtree_summaries_wait_for_their_first_read(call, seed):
+    shape = dict(roots=1 + seed, max_capacity=2, max_fanout=3 + seed)
+    model = parse_model(render_model(generated(120, seed, shuffle=seed == 2, **shape)))
+    NO_SUMMARIES[call](model)
+    tree = model.tree
+    assert not vars(tree).keys() & set(SUMMARIES)
+    summaries = tuple(getattr(tree, name) for name in SUMMARIES)
+    assert summaries == eager_summaries(tree)
+    assert vars(tree).keys() >= set(SUMMARIES)
+    assert tree.leaf_total == tree.leaf_count[tree.root] == len(model.leaves)
+
+
 def test_subtree_stats_node_counts_and_depths(two_rows):
     stats = subtree_stats(two_rows)
     assert stats.node_count["row1"] == 7
@@ -338,9 +399,81 @@ PARENT_CYCLE = "model contains a parent cycle unreachable from any root"
         (make([leaf("ok"), *CYCLE, leaf("z", "ok")]), "leaf 'ok' has capacity but also children"),
         (make([leaf("ok"), *CYCLE, inner("z", "q")]), "childless node 'z' has no capacity"),
         (make([leaf("s", "p"), *CYCLE, leaf("t", "ok"), inner("ok")]), PARENT_CYCLE),
+        # Faults in different entries: the first entry in file order
+        # wins, whichever kind of check would see the other one first.
+        (make([leaf("a", capacity=0), leaf("b", 3)]), "capacity of 'a' must be positive"),
+        (
+            make([leaf("a", capacity=True), {**leaf("b"), "rank": 1}]),
+            "capacity of 'a' must be an integer",
+        ),
+        (make([leaf("a", "a"), leaf("")]), "node 'a' is its own parent"),
+        (make([leaf("a", 3), leaf("b"), leaf("b")]), "parent of 'a' must be a string or null"),
+        (make([leaf("a"), leaf("a"), 3]), "duplicate node id 'a'"),
+        (make([leaf("a", capacity=1.5), {"parent": None}]), "capacity of 'a' must be an integer"),
+        (make([leaf("a", capacity=-2), leaf("b", "b")]), "capacity of 'a' must be positive"),
+        (make([leaf("a", "b", capacity=0), leaf("b")]), "capacity of 'a' must be positive"),
     ],
 )
 def test_parse_error_messages_and_their_precedence(text, message):
     with pytest.raises(ModelError) as caught:
         parse_model(text)
     assert str(caught.value) == message
+
+
+def checked_parse(entries: list) -> Tree:
+    """parse_model's checks one at a time: the per-entry loop, then the
+    first unknown parent in file order, then the rest of _compile."""
+    ids, index, parents, capacity = _checked_entries(entries)
+    for u, p in enumerate(parents):
+        if p is not None and p not in index:
+            raise ModelError(f"node {ids[u]!r} has unknown parent {p!r}")
+    return _compile(ids, index, parents, capacity)
+
+
+MUTANTS = (None, "", "x", "s1", "d1", 0, -1, 1, 2, 10**30, True, False, 1.5, "3", [], {})
+
+
+def test_bulk_entry_checks_never_accept_what_the_loop_refuses():
+    rng = random.Random(2017)
+    refused = 0
+    for trial in range(400):
+        leaves = rng.randint(1, 9)
+        base = random_model(leaves, trial, max_capacity=3, roots=rng.randint(1, min(leaves, 3)))
+        entries = json.loads(render_model(base))["nodes"]
+        for _ in range(rng.choice((1, 1, 2))):
+            k = rng.randrange(len(entries))
+            roll = rng.random()
+            if roll < 0.05:
+                entries[k] = rng.choice((3, "n", None, []))
+            elif isinstance(entries[k], dict):
+                field = rng.choice(("id", "parent", "capacity", "rank"))
+                if roll < 0.2:
+                    entries[k].pop(field, None)
+                else:
+                    ids = [e["id"] for e in entries if isinstance(e, dict) and "id" in e]
+                    entries[k][field] = rng.choice(MUTANTS + tuple(ids))
+        bulk = _bulk_entries(entries)
+        try:
+            checked = _checked_entries(entries)
+        except ModelError:
+            assert bulk is None, entries
+        else:
+            assert bulk is None or bulk == checked, entries
+        try:
+            expected = checked_parse(entries)
+        except ModelError as exc:
+            refused += 1
+            with pytest.raises(ModelError) as caught:
+                parse_model(make(entries))
+            assert str(caught.value) == str(exc), entries
+            continue
+        tree = parse_model(make(entries)).tree
+        assert (tree.ids, tree.parent, tree.capacity, tree.kids, tree.first) == (
+            expected.ids,
+            expected.parent,
+            expected.capacity,
+            expected.kids,
+            expected.first,
+        )
+        assert list(tree.bottom_up) == list(expected.bottom_up)
+    assert 100 < refused < 390, refused
