@@ -3,27 +3,39 @@
 The package root exposes solving, evaluation and parsing. Internals
 such as the labeling and selection helpers, the merge kernel and the
 lemma helpers stay importable from their own modules.
+
+Apart from the exception types, each name loads its module on first
+use (PEP 562), so `import fdplace` and the CLI import only what they
+run.
 """
 
 from __future__ import annotations
 
 from .errors import GuardLimitError, InfeasibleError, ModelError, SkewOverrideError
-from .generate import random_model
-from .metrics import (
-    FailureAggregate,
-    MultiPlacement,
-    Placement,
-    failure_aggregate,
-    multi_aggregate,
-    parse_multi_placement,
-    parse_placement,
-)
-from .model import FailureModel, parse_model, render_model
-from .multi import solve_multi
-from .oracle import check_balanced, oracle_multi, oracle_single
-from .single import solve_basic, solve_fast, solve_greedy
 
 __version__ = "0.1.0"
+
+# The module that defines each name __getattr__ loads.
+_HOMES = {
+    "random_model": "generate",
+    "FailureAggregate": "metrics",
+    "MultiPlacement": "metrics",
+    "Placement": "metrics",
+    "failure_aggregate": "metrics",
+    "multi_aggregate": "metrics",
+    "parse_multi_placement": "metrics",
+    "parse_placement": "metrics",
+    "FailureModel": "model",
+    "parse_model": "model",
+    "render_model": "model",
+    "solve_multi": "multi",
+    "check_balanced": "oracle",
+    "oracle_multi": "oracle",
+    "oracle_single": "oracle",
+    "solve_basic": "single",
+    "solve_fast": "single",
+    "solve_greedy": "single",
+}
 
 __all__ = [
     "FailureAggregate",
@@ -49,3 +61,18 @@ __all__ = [
     "solve_greedy",
     "solve_multi",
 ]
+
+
+def __getattr__(name: str) -> object:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

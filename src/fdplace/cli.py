@@ -14,10 +14,11 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict
 
+# oracle and generate are imported by the commands that use them, so the
+# solve and eval commands do not load them. The solvers stay imported
+# here: bench/tracer.py wraps this module's bindings of them.
 from .errors import GuardLimitError, InfeasibleError, ModelError, SkewOverrideError
-from .generate import random_model
 from .metrics import (
     FailureAggregate,
     MultiPlacement,
@@ -29,7 +30,6 @@ from .metrics import (
 )
 from .model import FailureModel, parse_model, render_model
 from .multi import solve_multi
-from .oracle import check_balanced, oracle_multi, oracle_single
 from .single import solve_basic, solve_fast, solve_greedy
 
 
@@ -117,14 +117,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .oracle import check_balanced
+
     model, _digest = _load_model(args.model)
     placement = parse_placement(_read(args.placement, "file")[0])
     violations = check_balanced(model, placement)
-    print(json.dumps({"balanced": not violations, "violations": [asdict(v) for v in violations]}))
+    print(json.dumps({"balanced": not violations, "violations": [v.as_dict() for v in violations]}))
     return 0
 
 
 def _cmd_oracle_single(args: argparse.Namespace) -> int:
+    from .oracle import oracle_single
+
     def solve(model: FailureModel) -> tuple[FailureAggregate, Found]:
         agg, optima = oracle_single(model, args.rho, guard=args.guard)
         print(f"{len(optima)} optimal placements", file=sys.stderr)
@@ -134,10 +138,14 @@ def _cmd_oracle_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_multi(args: argparse.Namespace) -> int:
+    from .oracle import oracle_multi
+
     return _run(args, lambda model: oracle_multi(model, _parse_sizes(args.sizes), guard=args.guard))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import random_model
+
     try:
         model = random_model(
             leaves=args.leaves,

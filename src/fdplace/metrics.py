@@ -12,52 +12,66 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass
 
 from .errors import ModelError
 # postorder is not called here, but bench/tracer.py wraps this binding.
 from .model import FailureModel, Tree, decode_json, postorder  # noqa: F401
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FailureAggregate:
+class FailureAggregate(Value):
+    __slots__ = ("entries", "rho")
+
     entries: tuple[int, ...]
     rho: int
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rho + 1:
+    def __init__(self, entries: tuple[int, ...], rho: int) -> None:
+        if len(entries) != rho + 1:
             raise ValueError("aggregate must have rho + 1 entries")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rho", rho)
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.entries) + ">"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Block-size census: entries[k] counts blocks of size rho - k."""
 
+    __slots__ = ("entries", "rho")
+
     entries: tuple[int, ...]
     rho: int
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rho + 1:
+    def __init__(self, entries: tuple[int, ...], rho: int) -> None:
+        if len(entries) != rho + 1:
             raise ValueError("signature must have rho + 1 entries")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rho", rho)
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.entries) + ">"
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Value):
+    __slots__ = ("leaves",)
+
     leaves: frozenset[str]
+
+    def __init__(self, leaves: frozenset[str]) -> None:
+        object.__setattr__(self, "leaves", leaves)
 
     def __len__(self) -> int:
         return len(self.leaves)
 
 
-@dataclass(frozen=True)
-class MultiPlacement:
+class MultiPlacement(Value):
+    __slots__ = ("blocks",)
+
     blocks: tuple[frozenset[str], ...]
+
+    def __init__(self, blocks: tuple[frozenset[str], ...]) -> None:
+        object.__setattr__(self, "blocks", blocks)
 
     def girth(self) -> int:
         return max((len(b) for b in self.blocks), default=0)

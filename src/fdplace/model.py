@@ -23,23 +23,26 @@ first use.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from operator import eq, is_not, lt
 from types import NoneType
 
 from .errors import ModelError
+from .value import Value
 
 FIELDS = frozenset(("id", "parent", "capacity"))
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    parent: str | None
-    capacity: int | None
+class Node(namedtuple("Node", ("id", "parent", "capacity"))):
+    """One entry of the wire format: id, parent id (None for a root)
+    and capacity (None on internal nodes). The id views build one per
+    node, and a named tuple builds faster than a class with a Python
+    __init__."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -64,7 +67,6 @@ class _Summary:
         return getattr(tree, self.name)
 
 
-@dataclass(eq=False)
 class Tree:
     """The compiled model. Node i is the i-th node in file order; node
     n = root is a virtual root whose children are the model's roots, so
@@ -81,14 +83,25 @@ class Tree:
     needs no such pass.
     """
 
-    ids: list[str]
-    index: dict[str, int]
-    parent: list[int]
-    capacity: list[int]
-    first: list[int]
-    kids: list[int]
-    bottom_up: Sequence[int]
-    leaf_total: int
+    def __init__(
+        self,
+        ids: list[str],
+        index: dict[str, int],
+        parent: list[int],
+        capacity: list[int],
+        first: list[int],
+        kids: list[int],
+        bottom_up: Sequence[int],
+        leaf_total: int,
+    ) -> None:
+        self.ids = ids
+        self.index = index
+        self.parent = parent
+        self.capacity = capacity
+        self.first = first
+        self.kids = kids
+        self.bottom_up = bottom_up
+        self.leaf_total = leaf_total
 
     @property
     def root(self) -> int:
@@ -367,14 +380,27 @@ def render_model(model: FailureModel) -> str:
     return json.dumps({"nodes": entries}) + "\n"
 
 
-@dataclass
-class SubtreeStats:
+class SubtreeStats(Value):
     """The tree's subtree summaries (see Tree), keyed by node id."""
+
+    __slots__ = ("leaf_count", "node_count", "min_rel_depth", "min_depth_leaf")
 
     leaf_count: dict[str, int]
     node_count: dict[str, int]
     min_rel_depth: dict[str, int]
     min_depth_leaf: dict[str, str]
+
+    def __init__(
+        self,
+        leaf_count: dict[str, int],
+        node_count: dict[str, int],
+        min_rel_depth: dict[str, int],
+        min_depth_leaf: dict[str, str],
+    ) -> None:
+        object.__setattr__(self, "leaf_count", leaf_count)
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "min_rel_depth", min_rel_depth)
+        object.__setattr__(self, "min_depth_leaf", min_depth_leaf)
 
 
 def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[str]:

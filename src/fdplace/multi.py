@@ -33,13 +33,13 @@ census pair, for checking it against brute force.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
 # postorder and subtree_stats are not called here, but bench/tracer.py
 # wraps these bindings.
 from .model import FailureModel, Tree, postorder, subtree_stats  # noqa: F401
+from .value import Value
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
@@ -225,8 +225,7 @@ class MergeKernel:
         return found
 
 
-@dataclass
-class PhiTable:
+class PhiTable(Value):
     """All ways to split an m-block census into two censuses whose
     merge gives it back, with every census obeying the skew bound.
 
@@ -236,11 +235,27 @@ class PhiTable:
     with a size rho-j right part.
     """
 
+    __slots__ = ("m", "rho", "delta", "pairs", "supports")
+
     m: int
     rho: int
     delta: int
     pairs: dict[Vector, set[tuple[Vector, Vector]]]
     supports: dict[tuple[Vector, Vector, Vector], set[Support]]
+
+    def __init__(
+        self,
+        m: int,
+        rho: int,
+        delta: int,
+        pairs: dict[Vector, set[tuple[Vector, Vector]]],
+        supports: dict[tuple[Vector, Vector, Vector], set[Support]],
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "supports", supports)
 
 
 def build_phi(m: int, rho: int, delta: int) -> PhiTable:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement, _counts, _leaf_indices
 from .model import FailureModel, Tree
 from .multi import _check_fit, _natural_skew
 from .single import _check_rho
+from .value import Value
 
 DEFAULT_GUARD = 1_000_000
 
@@ -218,13 +218,23 @@ def oracle_multi(
     return FailureAggregate(entries=best, rho=rho), MultiPlacement(blocks=tuple(blocks))
 
 
-@dataclass(frozen=True)
-class BalanceViolation:
+class BalanceViolation(Value):
+    __slots__ = ("node", "light_child", "heavy_child", "light_count", "heavy_count")
+
     node: str
     light_child: str
     heavy_child: str
     light_count: int
     heavy_count: int
+
+    def __init__(
+        self, node: str, light_child: str, heavy_child: str, light_count: int, heavy_count: int
+    ) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "light_child", light_child)
+        object.__setattr__(self, "heavy_child", heavy_child)
+        object.__setattr__(self, "light_count", light_count)
+        object.__setattr__(self, "heavy_count", heavy_count)
 
 
 def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceViolation]:

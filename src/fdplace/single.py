@@ -44,12 +44,12 @@ the returned placement.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
 # postorder is not called here, but bench/tracer.py wraps this binding.
 from .model import FailureModel, Tree, postorder  # noqa: F401
+from .value import Value
 
 
 def nth_smallest(items: list, k: int):
@@ -82,8 +82,7 @@ def nth_smallest(items: list, k: int):
             pool = [x for x in pool if x > pivot]
 
 
-@dataclass(frozen=True)
-class LabelResult:
+class LabelResult(Value):
     """Outcome of splitting r replicas across children.
 
     filled children take their whole capacity; each unfilled child i
@@ -92,10 +91,20 @@ class LabelResult:
     children share.
     """
 
+    __slots__ = ("filled", "unfilled", "remaining", "heavy_count")
+
     filled: frozenset[int]
     unfilled: frozenset[int]
     remaining: int
     heavy_count: int
+
+    def __init__(
+        self, filled: frozenset[int], unfilled: frozenset[int], remaining: int, heavy_count: int
+    ) -> None:
+        object.__setattr__(self, "filled", filled)
+        object.__setattr__(self, "unfilled", unfilled)
+        object.__setattr__(self, "remaining", remaining)
+        object.__setattr__(self, "heavy_count", heavy_count)
 
     @property
     def base_assignment(self) -> dict[int, int]:
@@ -166,13 +175,18 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> LabelResu
     )
 
 
-@dataclass(frozen=True)
-class ChildValuePair:
+class ChildValuePair(Value):
     """Best aggregates of one child at its base mass (light) and at one
     extra replica (heavy)."""
 
+    __slots__ = ("light", "heavy")
+
     light: tuple[int, ...]
     heavy: tuple[int, ...]
+
+    def __init__(self, light: tuple[int, ...], heavy: tuple[int, ...]) -> None:
+        object.__setattr__(self, "light", light)
+        object.__setattr__(self, "heavy", heavy)
 
 
 def select_heavy(pairs: list[ChildValuePair], beta: int) -> set[int]:

@@ -36,9 +36,9 @@ def placement_of(*leaves: str) -> Placement:
 
 
 def test_vector_lengths_are_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^aggregate must have rho \+ 1 entries$"):
         FailureAggregate(entries=(1, 2), rho=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^signature must have rho \+ 1 entries$"):
         Signature(entries=(1, 2, 3), rho=1)
 
 

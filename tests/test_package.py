@@ -1,14 +1,41 @@
-"""The package root's API, and the bindings the benchmark tracer wraps."""
+"""The package root's API, what importing it loads, and the bindings
+the benchmark tracer wraps."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import fdplace
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+
+# Run without site (-S), so the interpreter has loaded next to nothing
+# before the imports measured. The star import comes last: it loads
+# every module.
+FOOTPRINT = """
+import json, sys
+before = set(sys.modules)
+import fdplace
+root = set(sys.modules) - before
+import fdplace.cli
+cli = set(sys.modules) - before
+lazy = [name for name in fdplace.__all__ if name not in vars(fdplace)]
+star = {}
+exec("from fdplace import *", star)
+print(json.dumps({
+    "root": sorted(root), "cli": sorted(cli), "lazy": lazy,
+    "dir": dir(fdplace), "star": sorted(name for name in star if name != "__builtins__"),
+}))
+"""
 
 
 def test_package_root_exposes_the_solving_api():
@@ -54,3 +81,27 @@ def test_traced_bindings_resolve():
             continue
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_import_footprint():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    got = json.loads(out)
+    # A bare import loads no solver module, and the CLI neither the
+    # oracles, the generator nor dataclasses.
+    assert {m for m in got["root"] if m.startswith("fdplace")} == {"fdplace", "fdplace.errors"}
+    for module in ("dataclasses", "fdplace.oracle", "fdplace.generate"):
+        assert module not in got["cli"], module
+    # Every name but the exception types loads on first use, and both
+    # dir() and a star import see them all.
+    errors = {"GuardLimitError", "InfeasibleError", "ModelError", "SkewOverrideError"}
+    assert set(got["lazy"]) == set(fdplace.__all__) - errors
+    assert set(fdplace.__all__) <= set(got["dir"])
+    assert set(got["star"]) == set(fdplace.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'solve_fastest'"):
+        fdplace.solve_fastest
