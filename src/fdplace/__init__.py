@@ -37,30 +37,9 @@ _HOMES = {
     "solve_greedy": "single",
 }
 
-__all__ = [
-    "FailureAggregate",
-    "FailureModel",
-    "GuardLimitError",
-    "InfeasibleError",
-    "ModelError",
-    "MultiPlacement",
-    "Placement",
-    "SkewOverrideError",
-    "check_balanced",
-    "failure_aggregate",
-    "multi_aggregate",
-    "oracle_multi",
-    "oracle_single",
-    "parse_model",
-    "parse_multi_placement",
-    "parse_placement",
-    "random_model",
-    "render_model",
-    "solve_basic",
-    "solve_fast",
-    "solve_greedy",
-    "solve_multi",
-]
+__all__ = sorted(
+    [*_HOMES, "GuardLimitError", "InfeasibleError", "ModelError", "SkewOverrideError"]
+)
 
 
 def __getattr__(name: str) -> object:

@@ -28,8 +28,7 @@ class FailureAggregate(Value):
     def __init__(self, entries: tuple[int, ...], rho: int) -> None:
         if len(entries) != rho + 1:
             raise ValueError("aggregate must have rho + 1 entries")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rho", rho)
+        super().__init__(entries, rho)
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.entries) + ">"
@@ -46,8 +45,7 @@ class Signature(Value):
     def __init__(self, entries: tuple[int, ...], rho: int) -> None:
         if len(entries) != rho + 1:
             raise ValueError("signature must have rho + 1 entries")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rho", rho)
+        super().__init__(entries, rho)
 
     def __str__(self) -> str:
         return "<" + ",".join(str(v) for v in self.entries) + ">"
@@ -58,9 +56,6 @@ class Placement(Value):
 
     leaves: frozenset[str]
 
-    def __init__(self, leaves: frozenset[str]) -> None:
-        object.__setattr__(self, "leaves", leaves)
-
     def __len__(self) -> int:
         return len(self.leaves)
 
@@ -69,9 +64,6 @@ class MultiPlacement(Value):
     __slots__ = ("blocks",)
 
     blocks: tuple[frozenset[str], ...]
-
-    def __init__(self, blocks: tuple[frozenset[str], ...]) -> None:
-        object.__setattr__(self, "blocks", blocks)
 
     def girth(self) -> int:
         return max((len(b) for b in self.blocks), default=0)

@@ -390,18 +390,6 @@ class SubtreeStats(Value):
     min_rel_depth: dict[str, int]
     min_depth_leaf: dict[str, str]
 
-    def __init__(
-        self,
-        leaf_count: dict[str, int],
-        node_count: dict[str, int],
-        min_rel_depth: dict[str, int],
-        min_depth_leaf: dict[str, str],
-    ) -> None:
-        object.__setattr__(self, "leaf_count", leaf_count)
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "min_rel_depth", min_rel_depth)
-        object.__setattr__(self, "min_depth_leaf", min_depth_leaf)
-
 
 def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[str]:
     """The forest's nodes, children before parents and in child order.

@@ -243,20 +243,6 @@ class PhiTable(Value):
     pairs: dict[Vector, set[tuple[Vector, Vector]]]
     supports: dict[tuple[Vector, Vector, Vector], set[Support]]
 
-    def __init__(
-        self,
-        m: int,
-        rho: int,
-        delta: int,
-        pairs: dict[Vector, set[tuple[Vector, Vector]]],
-        supports: dict[tuple[Vector, Vector, Vector], set[Support]],
-    ) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "supports", supports)
-
 
 def build_phi(m: int, rho: int, delta: int) -> PhiTable:
     """The merge kernel tabulated over every pair of window censuses."""

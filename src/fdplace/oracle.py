@@ -227,15 +227,6 @@ class BalanceViolation(Value):
     light_count: int
     heavy_count: int
 
-    def __init__(
-        self, node: str, light_child: str, heavy_child: str, light_count: int, heavy_count: int
-    ) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "light_child", light_child)
-        object.__setattr__(self, "heavy_child", heavy_child)
-        object.__setattr__(self, "light_count", light_count)
-        object.__setattr__(self, "heavy_count", heavy_count)
-
 
 def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceViolation]:
     """Report sibling pairs where an unfilled child lags another child by

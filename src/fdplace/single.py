@@ -49,7 +49,6 @@ from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
 # postorder is not called here, but bench/tracer.py wraps this binding.
 from .model import FailureModel, Tree, postorder  # noqa: F401
-from .value import Value
 
 
 def nth_smallest(items: list, k: int):
@@ -82,49 +81,25 @@ def nth_smallest(items: list, k: int):
             pool = [x for x in pool if x > pivot]
 
 
-class LabelResult(Value):
-    """Outcome of splitting r replicas across children.
-
-    filled children take their whole capacity; each unfilled child i
-    gets base_assignment[i] replicas, and heavy_count of them will get
-    one extra, chosen later by value. remaining is what the unfilled
-    children share.
-    """
-
-    __slots__ = ("filled", "unfilled", "remaining", "heavy_count")
-
-    filled: frozenset[int]
-    unfilled: frozenset[int]
-    remaining: int
-    heavy_count: int
-
-    def __init__(
-        self, filled: frozenset[int], unfilled: frozenset[int], remaining: int, heavy_count: int
-    ) -> None:
-        object.__setattr__(self, "filled", filled)
-        object.__setattr__(self, "unfilled", unfilled)
-        object.__setattr__(self, "remaining", remaining)
-        object.__setattr__(self, "heavy_count", heavy_count)
-
-    @property
-    def base_assignment(self) -> dict[int, int]:
-        """The base share of each unfilled child, by position. No solver
-        reads it, so it is built only when asked for."""
-        if not self.unfilled:
-            return {}
-        base = self.remaining // len(self.unfilled)
-        return {i: base for i in sorted(self.unfilled)}
+# (filled, unfilled, remaining, heavy_count): see label_children.
+Label = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
-def label_children(capacities: list[int] | tuple[int, ...], r: int) -> LabelResult:
+def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
     """Split r replicas over children so no unfilled child ends more
     than one replica behind another child.
 
-    Repeatedly partitions the undecided children around the lower
-    median of their capacities. The split is the water-filling one: a
-    child fills exactly when its capacity is at most the common level
-    the rest settle at, so filled capacities never exceed the base
-    share of the unfilled children. Worst-case linear overall via
+    Returns (filled, unfilled, remaining, heavy_count). filled and
+    unfilled are child positions, each in child order. A filled child
+    takes its whole capacity; the unfilled ones share remaining
+    replicas, remaining // len(unfilled) each, and heavy_count of them
+    take one more, chosen later by value.
+
+    The split is the water-filling one: a child fills exactly when its
+    capacity is at most the common level the rest settle at, so filled
+    capacities never exceed the base share of the unfilled children.
+    The level is found by repeatedly partitioning the undecided
+    capacities around their lower median. Worst-case linear overall via
     nth_smallest.
     """
     caps = list(capacities)
@@ -136,62 +111,43 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> LabelResu
     if not 0 <= r <= total:
         raise InfeasibleError(f"cannot place {r} replicas into capacity {total}")
 
-    filled: set[int] = set()
-    unfilled: set[int] = set()
-    pool = list(range(len(caps)))
+    # Children with capacity at most level fill. pool holds the
+    # capacities not yet decided, s the replicas left for them and the
+    # n_unfilled children already known to stay unfilled.
+    level = n_unfilled = 0
+    pool = caps
     s = r
     while pool:
-        values = [caps[i] for i in pool]
-        med = nth_smallest(values, (len(values) - 1) // 2)
-        below = [i for i in pool if caps[i] < med]
-        at = [i for i in pool if caps[i] == med]
-        above = [i for i in pool if caps[i] > med]
-        x = s - sum(caps[i] for i in below)
-        cnt = len(unfilled) + len(at) + len(above)
+        med = nth_smallest(pool, (len(pool) - 1) // 2)
+        below = [c for c in pool if c < med]
+        x = s - sum(below)
+        cnt = n_unfilled + len(pool) - len(below)
         if x < (med - 1) * cnt:
             # Too few replicas for everyone at the median to fill up:
             # the median and above stay unfilled, recurse on the rest.
-            unfilled.update(at)
-            unfilled.update(above)
+            n_unfilled = cnt
             pool = below
         elif x >= med * cnt:
             # Enough that everyone up to the median fills completely.
-            filled.update(below)
-            filled.update(at)
-            pool = above
-            s = x - sum(caps[i] for i in at)
+            level = med
+            s = x - med * pool.count(med)
+            pool = [c for c in pool if c > med]
         else:
-            filled.update(below)
-            unfilled.update(at)
-            unfilled.update(above)
-            pool = []
+            # The children below the median fill; the rest share x.
+            level = med - 1
+            break
 
+    filled = tuple(i for i, c in enumerate(caps) if c <= level)
+    unfilled = tuple(i for i, c in enumerate(caps) if c > level)
     remaining = r - sum(caps[i] for i in filled)
-    return LabelResult(
-        filled=frozenset(filled),
-        unfilled=frozenset(unfilled),
-        remaining=remaining,
-        heavy_count=remaining % len(unfilled) if unfilled else 0,
-    )
+    return filled, unfilled, remaining, remaining % len(unfilled) if unfilled else 0
 
 
-class ChildValuePair(Value):
-    """Best aggregates of one child at its base mass (light) and at one
-    extra replica (heavy)."""
-
-    __slots__ = ("light", "heavy")
-
-    light: tuple[int, ...]
-    heavy: tuple[int, ...]
-
-    def __init__(self, light: tuple[int, ...], heavy: tuple[int, ...]) -> None:
-        object.__setattr__(self, "light", light)
-        object.__setattr__(self, "heavy", heavy)
-
-
-def select_heavy(pairs: list[ChildValuePair], beta: int) -> set[int]:
+def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int) -> set[int]:
     """Pick the beta children whose step from light to heavy is
-    lexicographically cheapest (ties broken by child position).
+    lexicographically cheapest (ties broken by child position). Each
+    pair holds a child's best aggregates at its base mass (light) and
+    at one replica more (heavy).
 
     Uses rank selection plus a partition pass, so the cost stays linear
     in the number of children regardless of beta.
@@ -201,10 +157,10 @@ def select_heavy(pairs: list[ChildValuePair], beta: int) -> set[int]:
     if beta == 0:
         return set()
     keys = []
-    for i, pair in enumerate(pairs):
-        if len(pair.light) != len(pair.heavy):
+    for i, (light, heavy) in enumerate(pairs):
+        if len(light) != len(heavy):
             raise ValueError("light and heavy differ in length")
-        diff = tuple(h - l for l, h in zip(pair.light, pair.heavy))
+        diff = tuple(h - l for l, h in zip(light, heavy))
         keys.append((diff, i))
     threshold = nth_smallest(keys, beta - 1)
     return {i for diff, i in keys if (diff, i) <= threshold}
@@ -237,14 +193,6 @@ def _check_rho(tree: Tree, rho: int) -> None:
         raise InfeasibleError(f"rho={rho} exceeds the {tree.leaf_total} available leaves")
 
 
-def _at(kids: list[int], positions: frozenset[int]) -> list[int]:
-    """The children at the given positions, in child order, in one pass
-    rather than a sort."""
-    if not positions:  # most labeled nodes have no filled children
-        return []
-    return [c for i, c in enumerate(kids) if i in positions]
-
-
 def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:
     ids = tree.ids
     return Placement(leaves=frozenset([ids[u] for u in leaves]))
@@ -259,7 +207,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
     leaf_count = tree.leaf_count
 
     memo: dict[tuple[int, int], tuple[int, ...]] = {}
-    labels: dict[tuple[int, int], LabelResult] = {}
+    labels: dict[tuple[int, int], Label] = {}
     choices: dict[
         tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]]
     ] = {}
@@ -295,9 +243,8 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         if label is None:
             label = label_children([leaf_count[c] for c in kids], m)
             labels[(u, m)] = label
-        unf = sorted(label.unfilled)
-        base = label.remaining // len(unf) if unf else 0
-        beta = label.heavy_count
+        filled, unf, remaining, beta = label
+        base = remaining // len(unf) if unf else 0
         needed = [(kids[i], base) for i in unf]
         if beta > 0:
             needed += [(kids[i], base + 1) for i in unf]
@@ -308,15 +255,12 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
         entries = [0] * (rho + 1)
         if u != top:
             entries[rho - m] += 1
-        for i in sorted(label.filled):
+        for i in filled:
             for j, v in enumerate(filled_value(kids[i])):
                 entries[j] += v
         heavy_ids: frozenset[int] = frozenset()
         if beta > 0:
-            pairs = [
-                ChildValuePair(light=memo[(kids[i], base)], heavy=memo[(kids[i], base + 1)])
-                for i in unf
-            ]
+            pairs = [(memo[(kids[i], base)], memo[(kids[i], base + 1)]) for i in unf]
             picked = select_heavy(pairs, beta)
             heavy_ids = frozenset(kids[unf[j]] for j in picked)
         for i in unf:
@@ -326,7 +270,7 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
                 entries[j] += v
         memo[(u, m)] = tuple(entries)
         choices[(u, m)] = (
-            tuple(kids[i] for i in sorted(label.filled)),
+            tuple(kids[i] for i in filled),
             tuple(kids[i] for i in unf),
             base,
             heavy_ids,
@@ -351,9 +295,10 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
     return FailureAggregate(entries=memo[(top, rho)], rho=rho), _placement(tree, out)
 
 
-# A labeled node: (node, mass, need, label, unfilled children, filled
-# children). need is set when the node is also priced at one replica more.
-Record = tuple[int, int, bool, LabelResult, list[int], list[int]]
+# A labeled node: (node, mass, need, remaining, heavy_count, unfilled
+# children, filled children), the middle two as label_children returns
+# them. need is set when the node is also priced at one replica more.
+Record = tuple[int, int, bool, int, int, list[int], list[int]]
 
 
 def _divide(tree: Tree, rho: int) -> list[Record]:
@@ -369,16 +314,14 @@ def _divide(tree: Tree, rho: int) -> list[Record]:
     while pending:
         u, m, nh = pending.pop()
         kids = tree.children(u)
-        label = label_children([leaf_count[c] for c in kids], m)
-        unf = _at(kids, label.unfilled)
-        records.append((u, m, nh, label, unf, _at(kids, label.filled)))
+        filled, unfilled, remaining, beta = label_children([leaf_count[c] for c in kids], m)
+        unf = [kids[i] for i in unfilled]
+        records.append((u, m, nh, remaining, beta, unf, [kids[i] for i in filled]))
         # Unfilled children that stay empty are priced in closed form by
         # the bottom-up pass. The others have more leaves than their
         # share, so they have children to label.
-        if unf and label.remaining >= len(unf):
-            child_need = nh or label.heavy_count >= 1
-            base = label.remaining // len(unf)
-            pending.extend((c, base, child_need) for c in unf)
+        if unf and remaining >= len(unf):
+            pending.extend((c, remaining // len(unf), nh or beta >= 1) for c in unf)
     return records
 
 
@@ -412,17 +355,16 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # extra replicas, light and heavy.
     hists: dict[int, tuple[list[int], list[int] | None]] = {}
     picks: dict[int, tuple[set[int], set[int]]] = {}
-    for u, m, nh, label, unf, filled in reversed(records):
+    for u, m, nh, remaining, beta, unf, filled in reversed(records):
         size = m + 2 if nh else m + 1
-        beta = label.heavy_count
-        if len(unf) == 1 and label.remaining:
+        if len(unf) == 1 and remaining:
             # The only unfilled child takes every extra replica, so its
             # lists are extended in place by the filled children's mass.
             light, heavy = hists.pop(unf[0])
             light.extend([0] * (size - len(light)))
             if nh:
                 heavy.extend([0] * (size - len(heavy)))
-        elif label.remaining < len(unf):
+        elif remaining < len(unf):
             # Every unfilled child is empty: all its nodes sit at failure
             # number 0 but the path to its shallowest leaf, which moves
             # to 1 when the child takes an extra replica. That step is
@@ -471,15 +413,15 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # empty child picked contributes its shallowest leaf.
     out: list[int] = []
     flagged: set[int] = set()
-    for u, _, _, label, unf, filled in records:
+    for u, _, _, remaining, _, unf, filled in records:
         out.extend(_leaves_below(tree, filled))
         hv = u in flagged
-        if len(unf) == 1 and label.remaining:
+        if len(unf) == 1 and remaining:
             if hv:
                 flagged.add(unf[0])
             continue
         sel = picks[u][hv]
-        if label.remaining < len(unf):
+        if remaining < len(unf):
             out.extend(tree.min_depth_leaf[unf[i]] for i in sel)
         else:
             flagged.update(unf[i] for i in sel)

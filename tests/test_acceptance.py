@@ -62,12 +62,12 @@ def test_criterion_01_reference_scenarios(capsys):
 def test_criterion_02_labeling_trace():
     case = load_json("uneven_racks.json")
     caps = case["capacities"]
-    result = label_children(caps, case["replicas"])
-    assert {caps[i] for i in result.filled} == {1, 2, 4}
-    assert {caps[i] for i in result.unfilled} == {5, 9, 11}
-    assert all(v == 4 for v in result.base_assignment.values())
-    assert result.heavy_count == 1
-    assert result.remaining == 13
+    filled, unfilled, remaining, heavy_count = label_children(caps, case["replicas"])
+    assert {caps[i] for i in filled} == {1, 2, 4}
+    assert {caps[i] for i in unfilled} == {5, 9, 11}
+    assert remaining // len(unfilled) == 4
+    assert heavy_count == 1
+    assert remaining == 13
     # Sandwich bounds: max filled cap <= remaining/|U| < min unfilled cap.
     assert 4 * 3 <= 13 < 5 * 3
     print(

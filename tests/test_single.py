@@ -12,7 +12,6 @@ from fdplace.metrics import failure_aggregate
 from fdplace.model import parse_model
 from fdplace.oracle import check_balanced, oracle_single
 from fdplace.single import (
-    ChildValuePair,
     label_children,
     nth_smallest,
     select_heavy,
@@ -31,8 +30,8 @@ def water_level_split(caps, r):
     h = 0
     while h < top and sum(min(c, h + 1) for c in caps) <= r:
         h += 1
-    filled = frozenset(i for i, c in enumerate(caps) if c <= h)
-    unfilled = frozenset(i for i, c in enumerate(caps) if c > h)
+    filled = tuple(i for i, c in enumerate(caps) if c <= h)
+    unfilled = tuple(i for i, c in enumerate(caps) if c > h)
     remaining = r - sum(caps[i] for i in filled)
     return filled, unfilled, remaining, h
 
@@ -56,12 +55,12 @@ def test_nth_smallest_bounds():
 def test_label_children_uneven_racks():
     spec = load_json("uneven_racks.json")
     caps = spec["capacities"]
-    result = label_children(caps, spec["replicas"])
-    assert {caps[i] for i in result.filled} == {1, 2, 4}
-    assert {caps[i] for i in result.unfilled} == {5, 9, 11}
-    assert result.remaining == 13
-    assert result.heavy_count == 1
-    assert all(v == 4 for v in result.base_assignment.values())
+    filled, unfilled, remaining, heavy_count = label_children(caps, spec["replicas"])
+    assert {caps[i] for i in filled} == {1, 2, 4}
+    assert {caps[i] for i in unfilled} == {5, 9, 11}
+    assert remaining == 13
+    assert heavy_count == 1
+    assert remaining // len(unfilled) == 4
     # Filled capacities stay at or below the shared base; unfilled ones
     # sit strictly above it.
     assert 4 * 3 <= 13 < 5 * 3
@@ -71,28 +70,20 @@ def test_label_children_splits_off_small_child():
     # One cap-1 child fills; the rest share 5 replicas at level 1 with
     # two heavies. Filling the cap-2 child instead would push a filled
     # capacity above the base share, which costs optimality.
-    result = label_children([4, 3, 2, 1], 6)
-    assert result.filled == frozenset({3})
-    assert result.unfilled == frozenset({0, 1, 2})
-    assert result.remaining == 5
-    assert result.heavy_count == 2
-    assert all(v == 1 for v in result.base_assignment.values())
+    filled, unfilled, remaining, heavy_count = label_children([4, 3, 2, 1], 6)
+    assert filled == (3,)
+    assert unfilled == (0, 1, 2)
+    assert remaining == 5
+    assert heavy_count == 2
+    assert remaining // len(unfilled) == 1
 
 
 def test_label_children_extremes():
-    result = label_children([2, 3], 0)
-    assert result.filled == frozenset()
-    assert result.remaining == 0
-    assert result.heavy_count == 0
-
-    result = label_children([2, 3], 5)
-    assert result.filled == frozenset({0, 1})
-    assert result.unfilled == frozenset()
-    assert result.remaining == 0
-
-    result = label_children([7], 3)
-    assert result.unfilled == frozenset({0})
-    assert result.base_assignment == {0: 3}
+    assert label_children([2, 3], 0) == ((), (0, 1), 0, 0)
+    assert label_children([2, 3], 5) == ((0, 1), (), 0, 0)
+    filled, unfilled, remaining, _ = label_children([7], 3)
+    assert unfilled == (0,)
+    assert remaining // len(unfilled) == 3
 
 
 def test_label_children_validation():
@@ -111,22 +102,26 @@ def test_label_children_matches_water_level():
     for _ in range(400):
         caps = [rng.randint(1, 12) for _ in range(rng.randint(1, 9))]
         r = rng.randint(0, sum(caps))
-        got = label_children(caps, r)
+        got_filled, got_unfilled, got_remaining, heavy_count = label_children(caps, r)
+        # Both position tuples are in child order and split the children.
+        assert list(got_filled) == sorted(got_filled)
+        assert list(got_unfilled) == sorted(got_unfilled)
+        assert sorted(got_filled + got_unfilled) == list(range(len(caps)))
         filled, unfilled, remaining, level = water_level_split(caps, r)
-        assert got.filled == filled, (caps, r)
-        assert got.unfilled == unfilled, (caps, r)
-        assert got.remaining == remaining
+        assert got_filled == filled, (caps, r)
+        assert got_unfilled == unfilled, (caps, r)
+        assert got_remaining == remaining
         if unfilled:
             base = remaining // len(unfilled)
             assert base == level
-            assert got.heavy_count == remaining - base * len(unfilled)
+            assert heavy_count == remaining - base * len(unfilled)
             # Sandwich bounds: every filled capacity fits under the
             # average share, which in turn is below every unfilled cap.
             mx = max((caps[i] for i in filled), default=0)
             assert mx * len(unfilled) <= remaining
             assert remaining < min(caps[i] for i in unfilled) * len(unfilled)
         else:
-            assert remaining == 0 and got.heavy_count == 0
+            assert remaining == 0 and heavy_count == 0
 
 
 def test_select_heavy_matches_sorting():
@@ -138,14 +133,14 @@ def test_select_heavy_matches_sorting():
             light = tuple(rng.randint(0, 3) for _ in range(4))
             bump = tuple(rng.randint(0, 2) for _ in range(4))
             heavy = tuple(l + b for l, b in zip(light, bump))
-            pairs.append(ChildValuePair(light=light, heavy=heavy))
+            pairs.append((light, heavy))
         beta = rng.randint(0, n)
         picked = select_heavy(pairs, beta)
         assert len(picked) == beta
         order = sorted(
             range(n),
             key=lambda i: (
-                tuple(h - l for l, h in zip(pairs[i].light, pairs[i].heavy)),
+                tuple(h - l for l, h in zip(*pairs[i])),
                 i,
             ),
         )
@@ -153,13 +148,13 @@ def test_select_heavy_matches_sorting():
 
 
 def test_select_heavy_validation():
-    pair = ChildValuePair(light=(0, 1), heavy=(1, 0))
+    pair = ((0, 1), (1, 0))
     with pytest.raises(ValueError):
         select_heavy([pair], 2)
     with pytest.raises(ValueError):
         select_heavy([pair], -1)
     assert select_heavy([pair], 0) == set()
-    bad = ChildValuePair(light=(0,), heavy=(1, 0))
+    bad = ((0,), (1, 0))
     with pytest.raises(ValueError):
         select_heavy([bad], 1)
 

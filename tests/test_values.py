@@ -11,7 +11,6 @@ from fdplace.metrics import FailureAggregate, MultiPlacement, Placement, Signatu
 from fdplace.model import Node, SubtreeStats
 from fdplace.multi import PhiTable
 from fdplace.oracle import BalanceViolation
-from fdplace.single import ChildValuePair, LabelResult
 
 # Two equal instances and an unequal one of each hashable value type,
 # built positionally, by keyword and mixed.
@@ -24,12 +23,6 @@ HASHABLE = [
         MultiPlacement(blocks=(frozenset("a"), frozenset("b"))),
         MultiPlacement((frozenset("b"), frozenset("a"))),
     ),
-    (
-        LabelResult(frozenset({0}), frozenset({1, 2}), 3, 1),
-        LabelResult(filled=frozenset({0}), unfilled=frozenset({1, 2}), remaining=3, heavy_count=1),
-        LabelResult(frozenset({0}), frozenset({1, 2}), 4, 0),
-    ),
-    (ChildValuePair((0, 1), (1, 0)), ChildValuePair(light=(0, 1), heavy=(1, 0)), ChildValuePair((0, 1), (0, 1))),
     (
         BalanceViolation("r", "a", "b", 0, 2),
         BalanceViolation(node="r", light_child="a", heavy_child="b", light_count=0, heavy_count=2),
@@ -77,3 +70,20 @@ def test_tables_compare_by_value():
     with pytest.raises(TypeError):
         hash(stats)
 
+
+# Too many, missing, unknown and repeated fields. FailureAggregate has
+# its own signature, so Python refuses for it.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Placement(frozenset("a"), frozenset("b")), "got 2 values for the fields leaves"),
+        (lambda: BalanceViolation("r", "a", "b", 0), "needs a value for 'heavy_count'"),
+        (lambda: PhiTable(1, 2, pairs={}, supports={}), "needs a value for 'delta'"),
+        (lambda: MultiPlacement(leaves=()), "unexpected field 'leaves'"),
+        (lambda: SubtreeStats({}, {}, {}, {}, leaf_count={}), "field 'leaf_count' twice"),
+        (lambda: FailureAggregate((0, 1), 1, rho=1), "multiple values for argument 'rho'"),
+    ],
+)
+def test_constructors_refuse_bad_fields(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
