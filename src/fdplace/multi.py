@@ -23,8 +23,8 @@ no kept value and no recorded choice.
 
 Down, one walk follows the recorded choices from the root and hands
 each child the block slots it fills, by size class; each leaf joins
-the blocks in its one-replica class. The cell layout behind a merge
-(its support) is rebuilt only for the merges this walk visits.
+the blocks in its one-replica class. A merge the walk visits takes
+the first, so smallest, cell layout that gives its census (its support).
 
 build_phi tabulates the same kernel, without a target, over every
 census pair, for checking it against brute force.
@@ -33,6 +33,7 @@ census pair, for checking it against brute force.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
@@ -146,7 +147,8 @@ class MergeKernel:
 
     def layouts(self, left: int, right: int) -> list[Support]:
         """Every cell layout, cells in (i, j) order, whose rows sum to
-        census left and whose columns sum to census right."""
+        census left and whose columns sum to census right, smallest
+        first: columns and cell counts are tried in ascending order."""
         rho = self.rho
         # Pairing the largest left parts with the smallest right parts
         # fits under rho exactly when some layout exists.
@@ -174,7 +176,7 @@ class MergeKernel:
                 return
             for n in range(k, len(cols)):
                 j = cols[n]
-                for v in range(min(need, room[j]), 0, -1):
+                for v in range(1, min(need, room[j]) + 1):
                     room[j] -= v
                     cells.append((i, j, v))
                     fill(r, n + 1, need - v)
@@ -212,12 +214,12 @@ class MergeKernel:
         return out
 
     def support(self, sig: int, left: int, right: int) -> Support:
-        """The smallest layout merging left and right into sig."""
+        """The first, so smallest, layout merging left and right into sig."""
         key = (sig, left, right)
         found = self._supports.get(key)
         if found is None:
             want = self.census[sig]
-            found = self._supports[key] = min(
+            found = self._supports[key] = next(
                 layout
                 for layout in self.layouts(left, right)
                 if self.merged(layout) == want
@@ -376,16 +378,15 @@ def solve_multi(
         done = memo[(left, right)] = (table, pick)
         return done
 
-    def fold(key: int, kids: list[int]) -> Table:
-        acc = tuple((sid, val + packed[sid]) for sid, val in tables.pop(kids[0]))
-        for k in range(2, len(kids) + 1):
-            acc, picks[(key, k)] = merge_tables(acc, tables.pop(kids[k - 1]))
-        return acc
-
-    for u in tree.bottom_up:
+    # The virtual root comes last and folds the roots like any node,
+    # adding one entry of its own per block, which the value then drops.
+    for u in chain(tree.bottom_up, (top,)):
         kids = tree.children(u)
         if kids:
-            tables[u] = fold(u, kids)
+            acc = tuple((sid, val + packed[sid]) for sid, val in tables.pop(kids[0]))
+            for k in range(2, len(kids) + 1):
+                acc, picks[(u, k)] = merge_tables(acc, tables.pop(kids[k - 1]))
+            tables[u] = acc
             continue
         ones_max = min(capacity[u], m)
         table = leaf_tables.get(ones_max)
@@ -400,11 +401,8 @@ def solve_multi(
             table = leaf_tables[ones_max] = tuple(rows)
         tables[u] = table
 
-    # The virtual root folds the roots like any node, adding one entry
-    # of its own per block, which the value then drops.
-    final = fold(top, tree.children(top))
     target_id = kernel.ids.get(target.entries)
-    value = dict(final).get(target_id)
+    value = dict(tables[top]).get(target_id)
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")
     value -= packed[target_id]

@@ -16,7 +16,7 @@ from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement, _counts, _leaf_indices
 from .model import FailureModel, Tree
 from .multi import _check_fit, _natural_skew
-from .single import _check_rho
+from .single import _check_rho, _leaves_by_id, _placement
 from .value import Value
 
 DEFAULT_GUARD = 1_000_000
@@ -66,14 +66,7 @@ def oracle_single(
         elif agg == best:
             optima.append(chosen)
     assert best is not None
-    ids = tree.ids
-    placements = [Placement(leaves=frozenset(ids[u] for u in s)) for s in optima]
-    return FailureAggregate(entries=best, rho=rho), placements
-
-
-def _leaves_by_id(tree: Tree) -> list[int]:
-    """The leaves' node indices, sorted by id."""
-    return sorted((u for u, c in enumerate(tree.capacity) if c), key=tree.ids.__getitem__)
+    return FailureAggregate(entries=best, rho=rho), [_placement(tree, s) for s in optima]
 
 
 def _subsets(

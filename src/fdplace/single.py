@@ -20,7 +20,8 @@ Children left empty rank by the depth of their shallowest leaf (one
 replica there fails just that path) and two sums price them all;
 others rank by their step from light to heavy; ties go by position.
 solve_basic picks with its own code (select_heavy), so the two check
-one another. solve_greedy grows the placement one replica at a time.
+one another. solve_greedy grows the placement one replica at a time,
+each on the leaf whose root path has the smallest failure numbers.
 
 Both recursive solvers start at the tree's virtual root, whose children
 are the model's roots and which adds no entry of its own, so a forest
@@ -430,41 +431,32 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     return FailureAggregate(entries=entries, rho=rho), _placement(tree, out)
 
 
+def _leaves_by_id(tree: Tree) -> list[int]:
+    """The leaves' node indices, sorted by id: the order in which
+    solve_greedy breaks ties and the oracles enumerate subsets."""
+    return sorted((u for u, c in enumerate(tree.capacity) if c), key=tree.ids.__getitem__)
+
+
 def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
-    """Place one replica at a time, each time choosing the leaf whose
-    addition gives the lexicographically smallest next aggregate (ties
-    broken by smallest leaf id)."""
+    """Place one replica at a time, each time on the leaf whose root
+    path has the smallest census: its failure numbers, sorted high to
+    low, compared lexicographically (ties broken by smallest leaf id).
+    Adding a leaf moves only its path up one failure number, so that
+    leaf gives the lexicographically smallest next aggregate."""
     tree = model.tree
     _check_rho(tree, rho)
-    ids = tree.ids
-    # In id order, so that of equal aggregates the first one found wins.
-    candidates = sorted((u for u, c in enumerate(tree.capacity) if c), key=ids.__getitem__)
-    paths = {leaf: tree.up(leaf) for leaf in candidates}
-
-    fn = [0] * len(ids)
-    agg = [0] * (rho + 1)
-    agg[rho] = len(ids)
-    chosen: set[int] = set()
-
+    up = tree.up
+    free = _leaves_by_id(tree)
+    fn = [0] * len(tree.ids)
+    chosen: list[int] = []
     for _ in range(rho):
-        best: tuple[tuple[int, ...], int] | None = None
-        for leaf in candidates:
-            if leaf in chosen:
-                continue
-            s = [0] * (rho + 1)
-            for v in paths[leaf]:
-                s[rho - fn[v]] += 1
-            cand = tuple(
-                agg[i] - s[i] + (s[i + 1] if i + 1 <= rho else 0)
-                for i in range(rho + 1)
-            )
-            if best is None or cand < best[0]:
-                best = (cand, leaf)
-        assert best is not None
-        cand, leaf = best
-        chosen.add(leaf)
-        for v in paths[leaf]:
+        leaf = min(free, key=lambda u: sorted([fn[v] for v in up(u)], reverse=True))
+        free.remove(leaf)
+        chosen.append(leaf)
+        for v in up(leaf):
             fn[v] += 1
-        agg = list(cand)
 
-    return FailureAggregate(entries=tuple(agg), rho=rho), _placement(tree, chosen)
+    entries = [0] * (rho + 1)
+    for f in fn:
+        entries[rho - f] += 1
+    return FailureAggregate(entries=tuple(entries), rho=rho), _placement(tree, chosen)

@@ -335,6 +335,29 @@ def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
     assert dropped > 0
 
 
+def test_kernel_layouts_come_smallest_first():
+    # support takes the first matching layout, so layouts must be sorted.
+    pairs = 0
+    for m in range(1, 5):
+        for rho in range(1, 5):
+            for delta in range(1, rho + 1):
+                kernel = MergeKernel(rho, delta, 8)
+                domain = [kernel.intern(vec) for vec in _signature_domain(m, rho, delta)]
+                for left in domain:
+                    for right in domain:
+                        layouts = kernel.layouts(left, right)
+                        assert layouts == sorted(layouts), (m, rho, delta, left, right)
+                        smallest = {}
+                        for layout in layouts:
+                            sig = kernel.merged(layout)
+                            if sig is not None:
+                                smallest[sig] = min(smallest.get(sig, layout), layout)
+                        for sig, layout in smallest.items():
+                            assert kernel.support(kernel.intern(sig), left, right) == layout
+                        pairs += 1
+    assert pairs == 16_604
+
+
 # Requests with a wide size spread, far beyond the oracle's reach:
 # (leaves, sizes) -> (objective, sha256 of the witness's sorted blocks).
 # The values predate the kernel's pruning to censuses that fit the target.

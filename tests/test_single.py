@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -232,6 +233,32 @@ def test_fast_equals_basic_on_deeper_trees():
             # Multi-child nodes pick by the same step and tie-break.
             assert placement == basic_placement, (trial, rho)
             assert failure_aggregate(model, placement, rho).entries == fast_agg.entries
+
+
+# sha256 over every (solver, trial, rho, objective, sorted witness):
+# any change to which optimum a single-block solver returns shows here.
+SINGLE_WITNESS_DIGEST = "04ae8cf576612e36196c50e2ffd7057caa26ad48a400bb1d8ff669d4ea006288"
+
+
+def test_single_block_witnesses_are_pinned():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for trial in range(120):
+        roots = rng.randint(1, 3)
+        leaves = rng.randint(roots, 30)
+        model = random_model(
+            leaves=leaves,
+            seed=8000 + trial,
+            max_fanout=rng.randint(2, 5),
+            max_capacity=rng.randint(1, 3),
+            roots=roots,
+        )
+        for rho in sorted({1, rng.randint(1, leaves), leaves}):
+            for solver in SOLVERS:
+                agg, placement = solver(model, rho)
+                record = [solver.__name__, trial, rho, agg.entries, sorted(placement.leaves)]
+                digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == SINGLE_WITNESS_DIGEST
 
 
 def _build(spec):
