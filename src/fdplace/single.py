@@ -19,6 +19,10 @@ that take the extra replicas, at its mass and at one replica more.
 Children left empty rank by the depth of their shallowest leaf (one
 replica there fails just that path) and two sums price them all;
 others rank by their step from light to heavy; ties go by position.
+Rank selections (nth_smallest, also behind label_children's water
+level) pivot on a small sorted sample and fall back to the median of
+medians after a step that keeps over 3/4 of the pool, so they stay
+linear in the worst case, as the paper's bound needs.
 solve_basic picks with its own code (select_heavy), so the two check
 one another. solve_greedy grows the placement one replica at a time,
 each on the leaf whose root path has the smallest failure numbers.
@@ -53,33 +57,57 @@ from .model import FailureModel, Tree, postorder  # noqa: F401
 
 
 def nth_smallest(items: list, k: int):
-    """Rank-k element (0-indexed) in worst-case linear time.
+    """Rank-k element (0-indexed) in worst-case linear time. items is
+    left as it is.
 
-    Median-of-medians pivoting: sort constant-size groups, recurse on
-    the group medians for the pivot, then partition and descend into
-    the side containing rank k.
+    Introselect (Musser 1997). A pool of fewer than 62 items is sorted.
+    A larger one is partitioned around a pivot by two list
+    comprehensions and list.count, and the side holding rank k is kept.
+    The pivot comes from a small sorted sample (_sample_pivot), which
+    usually leaves a short side. A step that keeps more than 3/4 of its
+    pool makes the next step take the median of medians (_median_pivot)
+    instead, which keeps at most 7/10 of the pool plus 4. Each step
+    costs time linear in its pool, and a median-of-medians step adds a
+    selection among a fifth of it. So a sampled step either keeps at
+    most 3/4, or it and the step after it keep at most 7/10 plus 4 at
+    the cost of that selection. As 3/4 < 1 and 1/5 + 7/10 < 1, the
+    total is O(n) whatever the input.
     """
-    pool = list(items)
-    if not 0 <= k < len(pool):
-        raise ValueError(f"rank {k} out of range for {len(pool)} items")
-    while True:
-        if len(pool) <= 10:
-            pool.sort()
-            return pool[k]
-        medians = []
-        for i in range(0, len(pool), 5):
-            group = sorted(pool[i : i + 5])
-            medians.append(group[len(group) // 2])
-        pivot = nth_smallest(medians, len(medians) // 2)
+    n = len(items)
+    if not 0 <= k < n:
+        raise ValueError(f"rank {k} out of range for {n} items")
+    pool, fallback = items, False
+    while n >= 62:
+        pivot = _median_pivot(pool) if fallback else _sample_pivot(pool, k)
         lower = [x for x in pool if x < pivot]
-        equal = [x for x in pool if x == pivot]
         if k < len(lower):
             pool = lower
-        elif k < len(lower) + len(equal):
-            return pivot
         else:
-            k -= len(lower) + len(equal)
+            k -= len(lower)
+            equal = pool.count(pivot)
+            if k < equal:
+                return pivot
+            k -= equal
             pool = [x for x in pool if x > pivot]
+        fallback = 4 * len(pool) > 3 * n
+        n = len(pool)
+    return sorted(pool)[k]
+
+
+def _sample_pivot(pool: list, k: int):
+    """Of every (len // 31)-th item, sorted (31 to 46 of them), the one
+    a place from rank k's quantile toward the middle, so that rank k
+    most likely falls between the pivot and the nearer end."""
+    sample = sorted(pool[:: len(pool) // 31])
+    i = k * len(sample) // len(pool)
+    return sample[i + 1 if 2 * k < len(pool) else i - 1]
+
+
+def _median_pivot(pool: list):
+    """The median of the medians of groups of five (Blum et al. 1973):
+    at least 3/10 of the grouped items lie on either side of it."""
+    medians = [sorted(pool[i : i + 5])[2] for i in range(0, len(pool) - 4, 5)]
+    return nth_smallest(medians, len(medians) // 2)
 
 
 # (filled, unfilled, remaining, heavy_count): see label_children.
@@ -106,7 +134,8 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
     caps = list(capacities)
     if not caps:
         raise ModelError("label_children needs at least one child")
-    if any(c < 1 for c in caps):
+    low = min(caps)
+    if low < 1:
         raise ModelError("capacities must be positive")
     total = sum(caps)
     if not 0 <= r <= total:
@@ -135,13 +164,15 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
             pool = [c for c in pool if c > med]
         else:
             # The children below the median fill; the rest share x.
-            level = med - 1
+            level, s = med - 1, x
             break
 
-    filled = tuple(i for i, c in enumerate(caps) if c <= level)
-    unfilled = tuple(i for i, c in enumerate(caps) if c > level)
-    remaining = r - sum(caps[i] for i in filled)
-    return filled, unfilled, remaining, remaining % len(unfilled) if unfilled else 0
+    # s now holds the replicas left after every child at or below level.
+    if level < low:  # nothing fills, as under most wide nodes
+        return (), tuple(range(len(caps))), s, s % len(caps)
+    filled = tuple([i for i, c in enumerate(caps) if c <= level])
+    unfilled = tuple([i for i, c in enumerate(caps) if c > level])
+    return filled, unfilled, s, s % len(unfilled) if unfilled else 0
 
 
 def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int) -> set[int]:
@@ -316,7 +347,7 @@ def _divide(tree: Tree, rho: int) -> list[Record]:
         u, m, nh = pending.pop()
         kids = tree.children(u)
         filled, unfilled, remaining, beta = label_children([leaf_count[c] for c in kids], m)
-        unf = [kids[i] for i in unfilled]
+        unf = kids if len(unfilled) == len(kids) else [kids[i] for i in unfilled]
         records.append((u, m, nh, remaining, beta, unf, [kids[i] for i in filled]))
         # Unfilled children that stay empty are priced in closed form by
         # the bottom-up pass. The others have more leaves than their
@@ -373,9 +404,9 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # cheapest, ties by position.
             n = len(unf)
             picks[u] = light_sel, heavy_sel = _cheapest(
-                [depth[c] * n + i for i, c in enumerate(unf)], beta, nh
+                [d * n + i for i, d in enumerate(map(depth.__getitem__, unf))], beta, nh
             )
-            nodes = sum(node_count[c] for c in unf)
+            nodes = sum(map(node_count.__getitem__, unf))
             light = [0] * size
             heavy = [0] * size if nh else None
             for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):

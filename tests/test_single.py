@@ -12,6 +12,7 @@ from fdplace.generate import random_model
 from fdplace.metrics import failure_aggregate
 from fdplace.model import parse_model
 from fdplace.oracle import check_balanced, oracle_single
+from fdplace import single
 from fdplace.single import (
     label_children,
     nth_smallest,
@@ -51,6 +52,65 @@ def test_nth_smallest_bounds():
     with pytest.raises(ValueError):
         nth_smallest([], 0)
     assert nth_smallest([5], 0) == 5
+
+
+def _selection_pools(rng):
+    """Pools on both sides of the sort cutoff, in the shapes that trouble
+    a pivot rule: sorted, reversed, organ pipe, all equal, few distinct,
+    random floats and (key, position) tuples whose keys tie."""
+    for n in (41, 61, 62, 63, 93, 257, 1000, 3000):
+        yield list(range(n))
+        yield list(range(n, 0, -1))
+        yield list(range(n // 2)) + list(range(n - n // 2, 0, -1))
+        yield [7] * n
+        yield [rng.randrange(3) for _ in range(n)]
+        yield [rng.random() for _ in range(n)]
+        yield [(rng.randrange(5), i) for i in range(n)]
+
+
+def _ranks(rng, n):
+    return (0, 1, n // 2, n - 2, n - 1, rng.randrange(n))
+
+
+def test_nth_smallest_matches_sorting_on_large_pools():
+    rng = random.Random(11)
+    for items in _selection_pools(rng):
+        before = list(items)
+        ordered = sorted(items)
+        for k in _ranks(rng, len(items)):
+            assert nth_smallest(items, k) == ordered[k], (len(items), k)
+        assert items == before
+
+
+def test_nth_smallest_stays_linear_under_the_worst_pivot(monkeypatch):
+    # The smallest item is the worst pivot: a step around it keeps all
+    # but its copies, so only the median-of-medians fallback keeps the
+    # work linear.
+    median_pivot = single._median_pivot
+    partitioned, fallbacks = [], []
+
+    def smallest(pool, k):
+        partitioned.append(len(pool))
+        return min(pool)
+
+    def median(pool):
+        partitioned.append(len(pool))
+        fallbacks.append(len(pool))
+        return median_pivot(pool)
+
+    monkeypatch.setattr(single, "_sample_pivot", smallest)
+    monkeypatch.setattr(single, "_median_pivot", median)
+    rng = random.Random(13)
+    for items in _selection_pools(rng):
+        n = len(items)
+        ordered = sorted(items)
+        for k in _ranks(rng, n):
+            partitioned.clear()
+            fallbacks.clear()
+            assert nth_smallest(items, k) == ordered[k], (n, k)
+            assert sum(partitioned) <= 8 * n, (n, k)
+            if k == n - 1 and n > 62 and len(set(items)) == n:
+                assert fallbacks, n
 
 
 def test_label_children_uneven_racks():
@@ -525,3 +585,43 @@ def test_fast_prices_empty_siblings_without_select_heavy(monkeypatch):
     assert calls == []
     assert placement.leaves == {f"s{i}" for i in range(64)}
     assert agg.entries[63:] == (64, 30_000 - 64)
+
+
+def test_label_children_on_wide_nodes():
+    rng = random.Random(23)
+    for n in (100, 1000, 5000):
+        for caps in (
+            [1] * n,
+            [rng.choice((14, 17)) for _ in range(n)],
+            [rng.randint(1, 30) for _ in range(n)],
+        ):
+            total = sum(caps)
+            for r in (0, 1, n // 2, total // 3, total - 1):
+                filled, unfilled, remaining, _ = water_level_split(caps, r)
+                heavy_count = remaining % len(unfilled) if unfilled else 0
+                assert label_children(caps, r) == (filled, unfilled, remaining, heavy_count), (n, r)
+
+
+def test_select_heavy_on_wide_nodes():
+    rng = random.Random(29)
+    for n in (100, 2000):
+        pairs = []
+        for _ in range(n):
+            light = tuple(rng.randint(0, 3) for _ in range(4))
+            pairs.append((light, tuple(v + rng.randint(0, 2) for v in light)))
+        order = sorted(range(n), key=lambda i: (tuple(h - l for l, h in zip(*pairs[i])), i))
+        for beta in (0, 1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1, n):
+            assert select_heavy(pairs, beta) == set(order[:beta]), (n, beta)
+
+
+def test_fast_matches_basic_on_wide_fanouts():
+    # A star, whose leaves stay empty or fill, and racks under one root,
+    # which at larger rho take replicas unevenly: both rank more children
+    # than nth_smallest sorts outright.
+    star = _build([("hub", None, False)] + _star("s", "hub", 500))
+    racks = _jittered_racks(random.Random(31), (100, 4))  # 68 racks, 261 servers
+    for model, rhos in ((star, (1, 64, 499)), (racks, (1, 64, 200, 250))):
+        for rho in rhos:
+            agg, placement = solve_fast(model, rho)
+            assert (agg, placement) == solve_basic(model, rho), rho
+            assert failure_aggregate(model, placement, rho).entries == agg.entries
