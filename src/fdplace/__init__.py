@@ -1,8 +1,10 @@
 """Lexicographically optimal replica placement on failure-domain trees.
 
 The package root exposes solving, evaluation and parsing. Internals
-such as the labeling and selection helpers, the merge kernel and the
-lemma helpers stay importable from their own modules.
+such as the labeling and selection helpers and the merge kernel stay
+importable from their own modules. The paper's lemma helpers (failure
+numbers, path aggregates, sub-signatures) are not part of the package:
+they live with the tests, in tests/lemmas.py.
 
 Apart from the exception types, each name loads its module on first
 use (PEP 562), so `import fdplace` and the CLI import only what they

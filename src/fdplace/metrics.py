@@ -6,6 +6,12 @@ so entry 0 counts total-loss events and the last entry counts harmless
 ones. Aggregates compare lexicographically from entry 0; smaller is
 safer. Signatures use the same indexing for block sizes instead of
 failure counts.
+
+The module holds the value types (FailureAggregate, Signature,
+Placement, MultiPlacement), the placement parsers, signature_of_sizes
+and the two evaluators, failure_aggregate and multi_aggregate. The
+paper's lemma helpers (failure numbers, path aggregates,
+sub-signatures) live with the tests that use them, in tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -67,25 +73,6 @@ class MultiPlacement(Value):
 
     def girth(self) -> int:
         return max((len(b) for b in self.blocks), default=0)
-
-
-def _entries_of(value: object) -> tuple[int, ...]:
-    if isinstance(value, (FailureAggregate, Signature)):
-        return value.entries
-    return tuple(value)  # type: ignore[arg-type]
-
-
-def lex_cmp(a: object, b: object) -> int:
-    """Return -1, 0, or 1 comparing two equal-length vectors from entry 0."""
-    left = _entries_of(a)
-    right = _entries_of(b)
-    if len(left) != len(right):
-        raise ValueError(f"length mismatch: {len(left)} vs {len(right)}")
-    if left < right:
-        return -1
-    if left > right:
-        return 1
-    return 0
 
 
 def parse_placement(text: str) -> Placement:
@@ -151,24 +138,6 @@ def _aggregate(tree: Tree, leaves: list[int], entries: list[int]) -> None:
         entries[rho - value] += 1
 
 
-def failure_number(model: FailureModel, node_id: str, placement: Placement) -> int:
-    """Count placement leaves inside the subtree of node_id."""
-    tree = model.tree
-    u = tree.index.get(node_id)
-    if u is None:
-        raise ModelError(f"unknown node {node_id!r}")
-    return _counts(tree, _leaf_indices(tree, placement.leaves)).get(u, 0)
-
-
-def failure_numbers(model: FailureModel, placement: Placement) -> dict[str, int]:
-    """Failure number of every node, keyed by id."""
-    tree = model.tree
-    fn = dict.fromkeys(tree.ids, 0)
-    for u, value in _counts(tree, _leaf_indices(tree, placement.leaves)).items():
-        fn[tree.ids[u]] = value
-    return fn
-
-
 def _check_girth(placement: Placement, rho: int) -> None:
     if rho < len(placement.leaves):
         raise ModelError(
@@ -202,27 +171,6 @@ def multi_aggregate(model: FailureModel, mp: MultiPlacement) -> FailureAggregate
     return FailureAggregate(entries=tuple(entries), rho=rho)
 
 
-def sub_signature(model: FailureModel, mp: MultiPlacement, node_id: str) -> Signature:
-    """Signature of the multi-placement restricted to one subtree.
-
-    Entry k counts blocks with exactly rho - k replicas inside the
-    subtree, where rho is the girth of the full multi-placement, so
-    sub-signatures of different nodes stay comparable.
-    """
-    tree = model.tree
-    u = tree.index.get(node_id)
-    if u is None:
-        raise ModelError(f"unknown node {node_id!r}")
-    rho = mp.girth()
-    ids, capacity = tree.ids, tree.capacity
-    below = {ids[w] for w in tree.walk([u]) if capacity[w]}
-    entries = [0] * (rho + 1)
-    for block in mp.blocks:
-        inside = len(block & below)
-        entries[rho - inside] += 1
-    return Signature(entries=tuple(entries), rho=rho)
-
-
 def signature_of_sizes(sizes: list[int] | tuple[int, ...]) -> Signature:
     if not sizes:
         raise ModelError("sizes list is empty")
@@ -234,51 +182,3 @@ def signature_of_sizes(sizes: list[int] | tuple[int, ...]) -> Signature:
     for s in sizes:
         entries[rho - s] += 1
     return Signature(entries=tuple(entries), rho=rho)
-
-
-def sig_stats(sig: Signature) -> tuple[int, int]:
-    """Return (skew, girth): index spread of the support, and the
-    largest represented block size. Both are 0 for an all-zero census."""
-    nonzero = [i for i, v in enumerate(sig.entries) if v != 0]
-    if not nonzero:
-        return 0, 0
-    skew = nonzero[-1] - nonzero[0]
-    girth = sig.rho - nonzero[0]
-    return skew, girth
-
-
-def index_extent(sig: Signature) -> int:
-    """Largest nonzero index (0 for an all-zero census). The raw
-    counterpart of the size-based girth in sig_stats."""
-    nonzero = [i for i, v in enumerate(sig.entries) if v != 0]
-    return nonzero[-1] if nonzero else 0
-
-
-def shift(vector: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop entry 0 and append a zero, keeping the length."""
-    return vector[1:] + (0,)
-
-
-def path_aggregate(
-    model: FailureModel,
-    from_node: str,
-    to_node: str,
-    placement: Placement,
-    rho: int,
-) -> FailureAggregate:
-    """Aggregate restricted to the nodes on the path from_node -> to_node
-    (both inclusive). to_node must be a descendant of from_node."""
-    tree = model.tree
-    for node_id in (from_node, to_node):
-        if node_id not in tree.index:
-            raise ModelError(f"unknown node {node_id!r}")
-    _check_girth(placement, rho)
-    path = tree.up(tree.index[to_node])
-    start = tree.index[from_node]
-    if start not in path:
-        raise ModelError(f"{to_node!r} is not a descendant of {from_node!r}")
-    counts = _counts(tree, _leaf_indices(tree, placement.leaves))
-    entries = [0] * (rho + 1)
-    for u in path[: path.index(start) + 1]:
-        entries[rho - counts.get(u, 0)] += 1
-    return FailureAggregate(entries=tuple(entries), rho=rho)

@@ -24,7 +24,8 @@ no kept value and no recorded choice.
 Down, one walk follows the recorded choices from the root and hands
 each child the block slots it fills, by size class; each leaf joins
 the blocks in its one-replica class. A merge the walk visits takes
-the first, so smallest, cell layout that gives its census (its support).
+the first, so smallest, cell layout that gives its census (its support),
+which the kernel recorded when it enumerated the pair.
 
 build_phi tabulates the same kernel, without a target, over every
 census pair, for checking it against brute force.
@@ -44,21 +45,6 @@ from .value import Value
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
-
-
-def band_cell_count(delta: int, d: int) -> int:
-    """Number of matrix cells a split with diagonal offset d can touch
-    inside a (delta+1) by (delta+1) window: the full square minus the
-    two corner triangles cut off by the band d-1 <= p+q <= d+delta-1."""
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
-    if not 1 <= d <= delta + 1:
-        raise ValueError(f"d must be in [1, {delta + 1}], got {d}")
-
-    def tri(t: int) -> int:
-        return t * (t + 1) // 2
-
-    return (delta + 1) ** 2 - tri(d - 1) - tri(delta + 1 - d)
 
 
 def enum_weak_compositions(n: int, k: int):
@@ -118,6 +104,7 @@ class MergeKernel:
         self.fits: list[bool] = []
         # merge_rows[left][right]: the cached result of merges(left, right).
         self.merge_rows: list[dict[int, list[tuple[int, int]]]] = []
+        # _supports[(merged, left, right)]: that merge's first layout.
         self._supports: dict[tuple[int, int, int], Support] = {}
 
     def intern(self, vec: Vector) -> int:
@@ -200,31 +187,27 @@ class MergeKernel:
     def merges(self, left: int, right: int) -> list[tuple[int, int]]:
         """(merged id, packed(merged) - packed(left)) for every census
         in the window that fits the target and that left and right
-        merge into; cached."""
+        merge into; cached, with the first, so smallest, layout that
+        gives each one as its support."""
         found: dict[int, int] = {}
         if not self.bound or self.total[left] + self.total[right] <= self.limit:
             for layout in self.layouts(left, right):
                 sig = self.merged(layout)
                 if sig is not None:
                     sid = self.intern(sig)
-                    if self.fits[sid]:
+                    if sid not in found and self.fits[sid]:
                         found[sid] = self.packed[sid] - self.packed[left]
+                        self._supports[(sid, left, right)] = layout
         out = list(found.items())
         self.merge_rows[left][right] = out
         return out
 
     def support(self, sig: int, left: int, right: int) -> Support:
-        """The first, so smallest, layout merging left and right into sig."""
-        key = (sig, left, right)
-        found = self._supports.get(key)
-        if found is None:
-            want = self.census[sig]
-            found = self._supports[key] = next(
-                layout
-                for layout in self.layouts(left, right)
-                if self.merged(layout) == want
-            )
-        return found
+        """The first, so smallest, layout merging left and right into
+        sig, a census that merges(left, right) keeps."""
+        if right not in self.merge_rows[left]:
+            self.merges(left, right)
+        return self._supports[(sig, left, right)]
 
 
 class PhiTable(Value):

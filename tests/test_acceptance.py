@@ -15,23 +15,14 @@ import time
 from fdplace.cli import main
 from fdplace.errors import GuardLimitError, InfeasibleError
 from fdplace.generate import random_model
-from fdplace.metrics import (
-    MultiPlacement,
-    Placement,
-    failure_aggregate,
-    lex_cmp,
-    multi_aggregate,
-    path_aggregate,
-    shift,
-    sig_stats,
-    sub_signature,
-)
+from fdplace.metrics import MultiPlacement, Placement, failure_aggregate, multi_aggregate
 from fdplace.model import parse_model, render_model
-from fdplace.multi import band_cell_count, build_phi, solve_multi, target_signature
+from fdplace.multi import build_phi, solve_multi, target_signature
 from fdplace.oracle import check_balanced, oracle_multi, oracle_single
 from fdplace.single import label_children, solve_basic, solve_fast, solve_greedy
 
 from conftest import fixture_path, load_json
+from lemmas import band_cell_count, lex_cmp, path_aggregate, shift, sig_stats, sub_signature
 
 
 def run_eval(capsys, model_name: str, placement_name: str, rho: int) -> list[int]:

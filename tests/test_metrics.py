@@ -13,22 +13,24 @@ from fdplace.metrics import (
     Placement,
     Signature,
     failure_aggregate,
-    failure_number,
-    failure_numbers,
-    index_extent,
-    lex_cmp,
     multi_aggregate,
     parse_multi_placement,
     parse_placement,
-    path_aggregate,
-    shift,
-    sig_stats,
     signature_of_sizes,
-    sub_signature,
 )
 from fdplace.model import parse_model
 
 from conftest import fixture_path
+from lemmas import (
+    failure_number,
+    failure_numbers,
+    index_extent,
+    lex_cmp,
+    path_aggregate,
+    shift,
+    sig_stats,
+    sub_signature,
+)
 
 
 def placement_of(*leaves: str) -> Placement:

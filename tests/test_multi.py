@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,18 +15,11 @@ from fdplace.errors import (
     SkewOverrideError,
 )
 from fdplace.generate import random_model
-from fdplace.metrics import (
-    lex_cmp,
-    multi_aggregate,
-    sig_stats,
-    signature_of_sizes,
-    sub_signature,
-)
+from fdplace.metrics import multi_aggregate, signature_of_sizes
 from fdplace.model import parse_model, render_model
 from fdplace.multi import (
     MergeKernel,
     _signature_domain,
-    band_cell_count,
     build_phi,
     enum_weak_compositions,
     solve_multi,
@@ -33,6 +27,8 @@ from fdplace.multi import (
 )
 from fdplace.oracle import oracle_multi
 from fdplace.single import solve_basic
+
+from lemmas import band_cell_count, lex_cmp, sig_stats, sub_signature
 
 
 def test_band_cell_count_validation():
@@ -384,3 +380,19 @@ def test_solve_multi_wide_spread_is_pinned(leaves, sizes):
     blocks = json.dumps([sorted(b) for b in witness.blocks]).encode()
     assert (agg.entries, hashlib.sha256(blocks).hexdigest()) == PINNED_WIDE[(leaves, sizes)]
     assert multi_aggregate(model, witness).entries == agg.entries
+
+
+@pytest.mark.parametrize("leaves,sizes", [(200, (6, 4, 2, 2)), (50, (12, 1))])
+def test_solve_multi_enumerates_each_pair_once(monkeypatch, leaves, sizes):
+    # merges records each kept census's support while it enumerates a
+    # pair, so the walk down never enumerates the pair again.
+    calls = Counter()
+    layouts = MergeKernel.layouts
+
+    def counted(kernel, left, right):
+        calls[(left, right)] += 1
+        return layouts(kernel, left, right)
+
+    monkeypatch.setattr(MergeKernel, "layouts", counted)
+    solve_multi(random_model(leaves, 1), sizes)
+    assert calls and max(calls.values()) == 1

@@ -17,9 +17,11 @@ from collections import Counter
 
 from fdplace.errors import GuardLimitError, InfeasibleError
 from fdplace.generate import random_model
-from fdplace.metrics import multi_aggregate, sig_stats, sub_signature
+from fdplace.metrics import multi_aggregate
 from fdplace.multi import solve_multi, target_signature
 from fdplace.oracle import oracle_multi
+
+from lemmas import sig_stats, sub_signature
 
 WIDE_SIZES = ((5, 1), (4, 1), (5, 2), (4, 1, 1), (3, 1, 1))
 

@@ -8,15 +8,11 @@ import pytest
 
 from fdplace.errors import GuardLimitError, InfeasibleError
 from fdplace.generate import random_model
-from fdplace.metrics import (
-    MultiPlacement,
-    Placement,
-    failure_aggregate,
-    failure_numbers,
-    multi_aggregate,
-)
+from fdplace.metrics import MultiPlacement, Placement, failure_aggregate, multi_aggregate
 from fdplace.model import parse_model, subtree_stats
 from fdplace.oracle import check_balanced, oracle_multi, oracle_single
+
+from lemmas import failure_numbers
 
 
 def test_oracle_single_two_rows(two_rows):

@@ -1,8 +1,9 @@
-"""The package root's API, what importing it loads, and the bindings
-the benchmark tracer wraps."""
+"""The package root's API, what importing it loads, the bindings the
+benchmark tracer wraps, and the helpers that moved out of the package."""
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
 import importlib.util
 import json
@@ -81,6 +82,34 @@ def test_traced_bindings_resolve():
             continue
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_lemma_helpers_live_with_the_tests(request, pytestconfig):
+    # The paper's lemma helpers live in tests/lemmas.py: the package
+    # defines none of them, and pytest does not collect that module.
+    moved = {
+        "fdplace.metrics": [
+            "lex_cmp",
+            "_entries_of",
+            "failure_number",
+            "failure_numbers",
+            "sub_signature",
+            "sig_stats",
+            "index_extent",
+            "shift",
+            "path_aggregate",
+        ],
+        "fdplace.multi": ["band_cell_count"],
+    }
+    for module_name, names in moved.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert not hasattr(module, name), (module_name, name)
+    lemmas = ROOT / "tests" / "lemmas.py"
+    assert lemmas.is_file()
+    patterns = pytestconfig.getini("python_files")
+    assert not any(fnmatch.fnmatch(lemmas.name, pattern) for pattern in patterns)
+    assert all(pathlib.Path(item.path).name != lemmas.name for item in request.session.items)
 
 
 def test_import_footprint():
