@@ -35,15 +35,8 @@ def random_model(
     counts = {"domain": 0, "server": 0}
 
     def split(count: int, parts: int) -> list[int]:
-        if parts == 1:
-            return [count]
         cuts = sorted(rng.sample(range(1, count), parts - 1))
-        sizes = []
-        prev = 0
-        for cut in cuts + [count]:
-            sizes.append(cut - prev)
-            prev = cut
-        return sizes
+        return [b - a for a, b in zip([0, *cuts], [*cuts, count])]
 
     # Depth first with an explicit stack, children in order. Without
     # recursion, running out of memory raises MemoryError; a frame that

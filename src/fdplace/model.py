@@ -17,7 +17,8 @@ links the nodes and orders them bottom up; the subtree summaries that
 only the single-block solvers and the oracles read are computed the
 first time one of them is read. The id-keyed surface (nodes, children,
 roots, leaves, subtree_stats, postorder) is derived from the tree on
-first use.
+first use; per-node facts (parent, capacity) are read as
+model.nodes[id].
 """
 
 from __future__ import annotations
@@ -36,17 +37,10 @@ from .value import Value
 FIELDS = frozenset(("id", "parent", "capacity"))
 
 
-class Node(namedtuple("Node", ("id", "parent", "capacity"))):
-    """One entry of the wire format: id, parent id (None for a root)
-    and capacity (None on internal nodes). The id views build one per
-    node, and a named tuple builds faster than a class with a Python
-    __init__."""
-
-    __slots__ = ()
-
-    @property
-    def kind(self) -> str:
-        return "internal-event" if self.capacity is None else "leaf-server"
+# One entry of the wire format: id, parent id (None for a root) and
+# capacity (None on internal nodes). The id views build one per node,
+# and a named tuple builds faster than a class with a Python __init__.
+Node = namedtuple("Node", ("id", "parent", "capacity"))
 
 
 class _Summary:
@@ -249,23 +243,6 @@ class FailureModel:
     def leaves(self) -> list[str]:
         return [u for u, c in zip(self.tree.ids, self.tree.capacity) if c]
 
-    def is_leaf(self, node_id: str) -> bool:
-        return self.tree.capacity[self.tree.index[node_id]] > 0
-
-    def capacity(self, node_id: str) -> int:
-        cap = self.tree.capacity[self.tree.index[node_id]]
-        if not cap:
-            raise ModelError(f"node {node_id!r} is not a leaf")
-        return cap
-
-    def parent(self, node_id: str) -> str | None:
-        t = self.tree
-        p = t.parent[t.index[node_id]]
-        return None if p == len(t.ids) else t.ids[p]
-
-    def node_ids(self) -> list[str]:
-        return list(self.tree.ids)
-
     def __len__(self) -> int:
         return len(self.tree.ids)
 
@@ -391,13 +368,11 @@ class SubtreeStats(Value):
     min_depth_leaf: dict[str, str]
 
 
-def postorder(model: FailureModel, starts: Sequence[str] | None = None) -> list[str]:
-    """The forest's nodes, children before parents and in child order.
-    With starts, only the subtrees of those nodes, in that order."""
+def postorder(model: FailureModel) -> list[str]:
+    """The forest's nodes, children before parents and in child order."""
     t = model.tree
     ids = t.ids
-    top = t.children(t.root) if starts is None else [t.index[s] for s in starts]
-    return [ids[u] for u in reversed(t.walk(top))]
+    return [ids[u] for u in reversed(t.walk(t.children(t.root)))]
 
 
 def subtree_stats(model: FailureModel) -> SubtreeStats:

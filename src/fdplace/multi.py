@@ -204,9 +204,7 @@ class MergeKernel:
 
     def support(self, sig: int, left: int, right: int) -> Support:
         """The first, so smallest, layout merging left and right into
-        sig, a census that merges(left, right) keeps."""
-        if right not in self.merge_rows[left]:
-            self.merges(left, right)
+        sig, a census that merges(left, right) kept."""
         return self._supports[(sig, left, right)]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from collections.abc import Iterator
 
 from .errors import GuardLimitError, InfeasibleError
@@ -130,14 +131,10 @@ def oracle_multi(
     order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
     ordered_sizes = [sizes[i] for i in order]
 
-    space = 1
-    run_start = 0
-    for i in range(len(ordered_sizes) + 1):
-        if i == len(ordered_sizes) or (i > run_start and ordered_sizes[i] != ordered_sizes[run_start]):
-            run_len = i - run_start
-            options = math.comb(len(leaves), ordered_sizes[run_start])
-            space *= math.comb(options + run_len - 1, run_len)
-            run_start = i
+    # k blocks of size s choose a multiset of k of the s-leaf subsets.
+    space = math.prod(
+        math.comb(math.comb(len(leaves), s) + k - 1, k) for s, k in Counter(sizes).items()
+    )
     limit = _resolve_guard(guard)
     if space > limit:
         raise GuardLimitError(f"search space {space} exceeds guard {limit}")

@@ -361,11 +361,8 @@ def _cheapest(keys: list, beta: int, heavy: bool) -> tuple[set[int], set[int]]:
     """Positions of the beta smallest keys and, when heavy, of the
     beta + 1 smallest, by one rank selection. The keys must be distinct,
     so the beta smallest are the beta + 1 smallest but the rank-beta
-    one."""
-    k = beta + 1 if heavy else beta
-    if not k:
-        return set(), set()
-    cut = nth_smallest(keys, k - 1)
+    one. At least one key is picked: beta >= 1 or heavy."""
+    cut = nth_smallest(keys, beta if heavy else beta - 1)
     picked = {i for i, key in enumerate(keys) if key <= cut}
     return ({i for i in picked if keys[i] < cut}, picked) if heavy else (picked, set())
 

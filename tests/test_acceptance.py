@@ -296,7 +296,7 @@ def test_criterion_07_multi_block_oracle_equivalence():
             for leaf in block:
                 usage[leaf] = usage.get(leaf, 0) + 1
         for leaf, used in usage.items():
-            assert used <= model.capacity(leaf), (trial, leaf)
+            assert used <= model.nodes[leaf].capacity, (trial, leaf)
 
         # Target signature: the witness block sizes are the asked sizes.
         assert sorted(len(b) for b in witness.blocks) == sorted(sizes), trial
@@ -320,7 +320,7 @@ def test_criterion_07_multi_block_oracle_equivalence():
 
 def random_blocks(model, rng: random.Random) -> MultiPlacement | None:
     leaves = sorted(model.leaves)
-    budget = {leaf: model.capacity(leaf) for leaf in leaves}
+    budget = {leaf: model.nodes[leaf].capacity for leaf in leaves}
     blocks = []
     for _ in range(rng.randint(1, 3)):
         open_leaves = [leaf for leaf in leaves if budget[leaf] > 0]

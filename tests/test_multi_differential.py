@@ -49,7 +49,7 @@ def check_witness(model, sizes, skew, agg, witness) -> None:
     assert sorted(len(b) for b in witness.blocks) == sorted(sizes)
     usage = Counter(leaf for block in witness.blocks for leaf in block)
     for leaf, used in usage.items():
-        assert used <= model.capacity(leaf), leaf
+        assert used <= model.nodes[leaf].capacity, leaf
     assert multi_aggregate(model, witness).entries == agg.entries
     natural = target_signature(sizes)[1]
     delta = min(skew if skew is not None else natural, max(sizes))
@@ -88,7 +88,7 @@ def test_multi_block_differential_on_forests_and_wide_windows():
         compared["all"] += 1
         compared[f"roots={len(model.roots)}"] += 1
         compared[f"widen={widen}"] += 1
-        if max(model.capacity(leaf) for leaf in model.leaves) == 3:
+        if max(model.nodes[leaf].capacity for leaf in model.leaves) == 3:
             compared["capacity=3"] += 1
         if sizes in WIDE_SIZES:
             compared["wide sizes"] += 1

@@ -81,7 +81,7 @@ def test_oracle_multi_matches_plain_enumeration():
         )
         pool = sorted(model.leaves)
         sizes = tuple(rng.randint(1, min(2, len(pool))) for _ in range(2))
-        caps = {leaf: model.capacity(leaf) for leaf in pool}
+        caps = {leaf: model.nodes[leaf].capacity for leaf in pool}
         best = None
         for combo in itertools.product(
             *(itertools.combinations(pool, s) for s in sizes)
@@ -110,6 +110,16 @@ def test_oracle_multi_infeasible_and_guard(two_rows, shared_tree):
         oracle_multi(two_rows, (2, 0))
     with pytest.raises(GuardLimitError):
         oracle_multi(shared_tree, (3, 3, 2), guard=10)
+
+
+def test_oracle_multi_guard_counts_block_multisets(two_rows):
+    # Nine leaves: two single-leaf blocks choose a multiset of 2 of 9
+    # subsets, C(10, 2) = 45; (2, 2, 1) gives C(37, 2) * 9 = 5994.
+    oracle_multi(two_rows, (1, 1), guard=45)
+    with pytest.raises(GuardLimitError, match="search space 45 exceeds guard 44"):
+        oracle_multi(two_rows, (1, 1), guard=44)
+    with pytest.raises(GuardLimitError, match="search space 5994 exceeds guard 5993"):
+        oracle_multi(two_rows, (2, 2, 1), guard=5993)
 
 
 def test_oracle_multi_capacity_dead_end():

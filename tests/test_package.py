@@ -1,11 +1,13 @@
 """The package root's API, what importing it loads, the bindings the
-benchmark tracer wraps, and the helpers that moved out of the package."""
+benchmark tracer wraps, the helpers that moved out of the package, and
+the accessors that no caller used."""
 
 from __future__ import annotations
 
 import fnmatch
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -15,6 +17,8 @@ import sys
 import pytest
 
 import fdplace
+from fdplace.model import FailureModel, Node, postorder
+from fdplace.multi import MergeKernel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
@@ -134,3 +138,21 @@ def test_import_footprint():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'solve_fastest'"):
         fdplace.solve_fastest
+
+
+def test_unused_accessors_are_gone():
+    # Per-node facts are read as model.nodes[id], walks from given
+    # starts go through Tree.walk, and a support is read only for a
+    # pair that merges() has enumerated.
+    for name in ("is_leaf", "capacity", "parent", "node_ids"):
+        assert not hasattr(FailureModel, name), name
+    assert not hasattr(Node, "kind")
+    assert list(inspect.signature(postorder).parameters) == ["model"]
+    kernel = MergeKernel(2, 1, 8)
+    # One block holding one replica, merged with one holding none,
+    # gives the left census back.
+    left, right = kernel.intern((0, 1, 0)), kernel.intern((0, 0, 1))
+    with pytest.raises(KeyError):
+        kernel.support(left, left, right)
+    assert (left, 0) in kernel.merges(left, right)
+    assert kernel.support(left, left, right)
