@@ -23,9 +23,10 @@ no kept value and no recorded choice.
 
 Down, one walk follows the recorded choices from the root and hands
 each child the block slots it fills, by size class; each leaf joins
-the blocks in its one-replica class. A merge the walk visits takes
-the first, so smallest, cell layout that gives its census (its support),
-which the kernel recorded when it enumerated the pair.
+the blocks in its one-replica class. Each choice carries the cell
+layout the walk splits by: the first, so smallest, layout that gives
+the merged census (its support), which the kernel keeps in the merge
+it returns, so the walk asks the kernel nothing.
 
 build_phi tabulates the same kernel, without a target, over every
 census pair, for checking it against brute force.
@@ -103,9 +104,7 @@ class MergeKernel:
         self.total: list[int] = []
         self.fits: list[bool] = []
         # merge_rows[left][right]: the cached result of merges(left, right).
-        self.merge_rows: list[dict[int, list[tuple[int, int]]]] = []
-        # _supports[(merged, left, right)]: that merge's first layout.
-        self._supports: dict[tuple[int, int, int], Support] = {}
+        self.merge_rows: list[dict[int, list[tuple[int, int, Support]]]] = []
 
     def intern(self, vec: Vector) -> int:
         cid = self.ids.get(vec)
@@ -132,10 +131,11 @@ class MergeKernel:
             (value >> (self.bits * (self.rho - k))) & mask for k in range(self.rho + 1)
         )
 
-    def layouts(self, left: int, right: int) -> list[Support]:
+    def layouts(self, left: int, right: int) -> list[tuple[Support, Vector]]:
         """Every cell layout, cells in (i, j) order, whose rows sum to
-        census left and whose columns sum to census right, smallest
-        first: columns and cell counts are tried in ascending order."""
+        census left, whose columns sum to census right and whose merged
+        census lies in the window, with that census, smallest first:
+        columns and cell counts are tried in ascending order."""
         rho = self.rho
         # Pairing the largest left parts with the smallest right parts
         # fits under rho exactly when some layout exists.
@@ -148,7 +148,7 @@ class MergeKernel:
         first = [sum(1 for j in cols if i + j < rho) for i, _ in rows]
         last = len(rows) - 1
         cells: list[tuple[int, int, int]] = []
-        out: list[Support] = []
+        out: list[tuple[Support, Vector]] = []
 
         def fill(r: int, k: int, need: int) -> None:
             # Place `need` more blocks of row r in cols[k:].
@@ -156,7 +156,13 @@ class MergeKernel:
             if r == last:
                 # The last row takes whatever room is left: the pairing
                 # test above leaves none it cannot reach.
-                out.append(tuple(cells) + tuple((i, j, room[j]) for j in cols[k:] if room[j]))
+                layout = tuple(cells) + tuple((i, j, room[j]) for j in cols[k:] if room[j])
+                diag = [0] * (rho + 1)
+                for a, b, v in layout:
+                    diag[a + b - rho] += v
+                nonzero = [c for c, v in enumerate(diag) if v]
+                if nonzero[-1] - nonzero[0] <= self.delta:
+                    out.append((layout, tuple(diag)))
                 return
             if need == 0:
                 fill(r + 1, first[r + 1], rows[r + 1][1])
@@ -173,39 +179,19 @@ class MergeKernel:
         fill(0, first[0], rows[0][1])
         return out
 
-    def merged(self, layout: Support) -> Vector | None:
-        """The census a layout produces, or None outside the window."""
-        rho = self.rho
-        diag = [0] * (rho + 1)
-        for i, j, v in layout:
-            diag[i + j - rho] += v
-        nonzero = [k for k, v in enumerate(diag) if v]
-        if nonzero[-1] - nonzero[0] > self.delta:
-            return None
-        return tuple(diag)
-
-    def merges(self, left: int, right: int) -> list[tuple[int, int]]:
-        """(merged id, packed(merged) - packed(left)) for every census
-        in the window that fits the target and that left and right
-        merge into; cached, with the first, so smallest, layout that
-        gives each one as its support."""
-        found: dict[int, int] = {}
+    def merges(self, left: int, right: int) -> list[tuple[int, int, Support]]:
+        """(merged id, packed(merged) - packed(left), support) for every
+        census in the window that fits the target and that left and
+        right merge into, where the support is the first, so smallest,
+        layout that gives it; cached in merge_rows."""
+        found: dict[int, tuple[int, int, Support]] = {}
         if not self.bound or self.total[left] + self.total[right] <= self.limit:
-            for layout in self.layouts(left, right):
-                sig = self.merged(layout)
-                if sig is not None:
-                    sid = self.intern(sig)
-                    if sid not in found and self.fits[sid]:
-                        found[sid] = self.packed[sid] - self.packed[left]
-                        self._supports[(sid, left, right)] = layout
-        out = list(found.items())
-        self.merge_rows[left][right] = out
+            for layout, sig in self.layouts(left, right):
+                sid = self.intern(sig)
+                if sid not in found and self.fits[sid]:
+                    found[sid] = (sid, self.packed[sid] - self.packed[left], layout)
+        out = self.merge_rows[left][right] = list(found.values())
         return out
-
-    def support(self, sig: int, left: int, right: int) -> Support:
-        """The first, so smallest, layout merging left and right into
-        sig, a census that merges(left, right) kept."""
-        return self._supports[(sig, left, right)]
 
 
 class PhiTable(Value):
@@ -240,11 +226,9 @@ def build_phi(m: int, rho: int, delta: int) -> PhiTable:
     for left in domain:
         for right in domain:
             split = (kernel.census[left], kernel.census[right])
-            for layout in kernel.layouts(left, right):
-                sig = kernel.merged(layout)
-                if sig is not None:
-                    pairs[sig].add(split)
-                    supports[(sig, *split)].add(layout)
+            for layout, sig in kernel.layouts(left, right):
+                pairs[sig].add(split)
+                supports[(sig, *split)].add(layout)
     return PhiTable(m=m, rho=rho, delta=delta, pairs=dict(pairs), supports=dict(supports))
 
 
@@ -329,7 +313,7 @@ def solve_multi(
     # that of equal candidates the smallest (left, right) wins. Equal
     # subtrees give equal tables, so merges are memoized on their inputs.
     Table = tuple[tuple[int, int], ...]
-    Pick = dict[int, tuple[int, int]]
+    Pick = dict[int, tuple[int, int, Support]]
     tables: dict[int, Table] = {}
     picks: dict[tuple[int, int], Pick] = {}
     leaf_tables: dict[int, Table] = {}
@@ -349,12 +333,12 @@ def solve_multi(
                 if outs is None:
                     outs = kernel.merges(lid, rid)
                 base = lval + rval
-                for sid, offset in outs:
+                for sid, offset, layout in outs:
                     cand = base + offset
                     cur = best_get(sid)
                     if cur is None or cand < cur:
                         best[sid] = cand
-                        pick[sid] = (lid, rid)
+                        pick[sid] = (lid, rid, layout)
         table = tuple((sid, best[sid]) for sid in sorted(best, key=packed.__getitem__))
         done = memo[(left, right)] = (table, pick)
         return done
@@ -408,11 +392,11 @@ def solve_multi(
                 members[b].append(ids[u])
             continue
         for k in range(len(kids), 1, -1):
-            lid, rid = picks[(u, k)][cur]
+            lid, rid, layout = picks[(u, k)][cur]
             left: dict[int, list[int]] = {}
             right: dict[int, list[int]] = {}
             used = dict.fromkeys(slots, 0)
-            for i, j, v in kernel.support(cur, lid, rid):
+            for i, j, v in layout:
                 c = i + j - rho
                 part = slots[c][used[c] : used[c] + v]
                 used[c] += v

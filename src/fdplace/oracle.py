@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 
@@ -231,21 +232,22 @@ def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceVio
         if len(kids) < 2:
             continue
         # A heavy side exceeds a light side by at least 2, so only
-        # children holding 2 or more replicas can be one.
-        heavies = [c for c in kids if fn.get(c, 0) >= 2]
+        # children holding 2 or more replicas can be one. Ranked highest
+        # first, those beating a light child are a prefix.
+        heavies = sorted((c for c in kids if fn.get(c, 0) >= 2), key=lambda c: -fn[c])
+        drops = [-fn[c] for c in heavies]
         for c in kids:
             light = fn.get(c, 0)
             if light >= leaf_count[c]:
                 continue
-            for heavy in heavies:
-                if fn[heavy] > light + 1:
-                    violations.append(
-                        BalanceViolation(
-                            node=node_id,
-                            light_child=ids[c],
-                            heavy_child=ids[heavy],
-                            light_count=light,
-                            heavy_count=fn[heavy],
-                        )
+            for heavy in sorted(heavies[: bisect_left(drops, -1 - light)]):  # child order
+                violations.append(
+                    BalanceViolation(
+                        node=node_id,
+                        light_child=ids[c],
+                        heavy_child=ids[heavy],
+                        light_count=light,
+                        heavy_count=fn[heavy],
                     )
+                )
     return violations

@@ -320,19 +320,20 @@ def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
         for lvec in domain:
             for rvec in domain:
                 want = {
-                    (full.census[sid], offset)
-                    for sid, offset in full.merges(full.intern(lvec), full.intern(rvec))
+                    (full.census[sid], offset, layout)
+                    for sid, offset, layout in full.merges(full.intern(lvec), full.intern(rvec))
                     if fits(full.census[sid], sizes)
                 }
                 got = pruned.merges(pruned.intern(lvec), pruned.intern(rvec))
-                assert {(pruned.census[sid], offset) for sid, offset in got} == want
-                assert all(fits(pruned.census[sid], sizes) for sid, _ in got)
+                assert {(pruned.census[sid], offset, layout) for sid, offset, layout in got} == want
+                assert all(fits(pruned.census[sid], sizes) for sid, _, _ in got)
                 dropped += len(full.merge_rows[full.ids[lvec]][full.ids[rvec]]) - len(got)
     assert dropped > 0
 
 
 def test_kernel_layouts_come_smallest_first():
-    # support takes the first matching layout, so layouts must be sorted.
+    # merges keeps the first layout of each census as its support, so
+    # layouts must come sorted.
     pairs = 0
     for m in range(1, 5):
         for rho in range(1, 5):
@@ -343,14 +344,14 @@ def test_kernel_layouts_come_smallest_first():
                     for right in domain:
                         layouts = kernel.layouts(left, right)
                         assert layouts == sorted(layouts), (m, rho, delta, left, right)
-                        kernel.merges(left, right)
                         smallest = {}
-                        for layout in layouts:
-                            sig = kernel.merged(layout)
-                            if sig is not None:
-                                smallest[sig] = min(smallest.get(sig, layout), layout)
-                        for sig, layout in smallest.items():
-                            assert kernel.support(kernel.intern(sig), left, right) == layout
+                        for layout, sig in layouts:
+                            smallest[sig] = min(smallest.get(sig, layout), layout)
+                        supports = {
+                            kernel.census[sid]: layout
+                            for sid, _, layout in kernel.merges(left, right)
+                        }
+                        assert supports == smallest, (m, rho, delta, left, right)
                         pairs += 1
     assert pairs == 16_604
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -209,3 +210,16 @@ def test_check_balanced_on_wide_nodes():
     assert [v.light_child for v in violations[:7]] == [f"r{r}" for r in range(7)]
     assert violations[7].light_child == "r8"
     assert {(v.node, v.heavy_child, v.heavy_count) for v in violations} == {("root", "r7", 2)}
+
+    # 20k three-server racks holding two replicas each: every rack is
+    # both light and heavy, and none beats another. A check that scans
+    # every heavy sibling per light child takes about 30 s here.
+    nodes = [{"id": "root", "parent": None}]
+    for r in range(20_000):
+        nodes.append({"id": f"r{r}", "parent": "root"})
+        nodes += [{"id": f"r{r}s{k}", "parent": f"r{r}", "capacity": 1} for k in (0, 1, 2)]
+    racks = parse_model(json.dumps({"nodes": nodes}))
+    pairs = Placement(leaves=frozenset(f"r{r}s{k}" for r in range(20_000) for k in (0, 1)))
+    started = time.perf_counter()
+    assert check_balanced(racks, pairs) == []
+    assert time.perf_counter() - started < 10.0

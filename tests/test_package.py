@@ -142,17 +142,16 @@ def test_unknown_names_raise_attribute_error():
 
 def test_unused_accessors_are_gone():
     # Per-node facts are read as model.nodes[id], walks from given
-    # starts go through Tree.walk, and a support is read only for a
-    # pair that merges() has enumerated.
+    # starts go through Tree.walk, and each merge the kernel keeps
+    # carries its support.
     for name in ("is_leaf", "capacity", "parent", "node_ids"):
         assert not hasattr(FailureModel, name), name
     assert not hasattr(Node, "kind")
     assert list(inspect.signature(postorder).parameters) == ["model"]
     kernel = MergeKernel(2, 1, 8)
+    for name in ("support", "merged", "_supports"):
+        assert not hasattr(kernel, name), name
     # One block holding one replica, merged with one holding none,
-    # gives the left census back.
+    # gives the left census back through a single cell.
     left, right = kernel.intern((0, 1, 0)), kernel.intern((0, 0, 1))
-    with pytest.raises(KeyError):
-        kernel.support(left, left, right)
-    assert (left, 0) in kernel.merges(left, right)
-    assert kernel.support(left, left, right)
+    assert (left, 0, ((1, 2, 1),)) in kernel.merges(left, right)
