@@ -14,15 +14,18 @@ and keeps, per labeled node, a light and a heavy histogram of failure
 numbers. A node with a single non-empty unfilled child extends that
 child's histograms in place by the filled children's mass, so a run of
 such nodes costs no more than its drop in mass. Any other node builds
-fresh histograms, and one rank selection (_cheapest) picks the children
-that take the extra replicas, at its mass and at one replica more.
-Children left empty rank by the depth of their shallowest leaf (one
-replica there fails just that path) and two sums price them all;
-others rank by their step from light to heavy; ties go by position.
-Rank selections (nth_smallest, also behind label_children's water
-level) pivot on a small sorted sample and fall back to the median of
-medians after a step that keeps over 3/4 of the pool, so they stay
-linear in the worst case, as the paper's bound needs.
+fresh histograms and picks the children that take the extra replicas,
+at its mass and at one replica more; ties go by position. Children
+left empty rank by the depth of their shallowest leaf (one replica
+there fails just that path), and two sums price them all. When the
+shallowest depth class holds enough children, the picks are its first
+positions and no rank selection runs; otherwise one selection finds
+the depth to cut at (_shallowest). Other children rank by their step
+from light to heavy, by one rank selection (_cheapest). Rank
+selections (nth_smallest, also behind label_children's water level
+when some child fills) pivot on a small sorted sample and fall back to
+the median of medians after a step that keeps over 3/4 of the pool,
+so they stay linear in the worst case, as the paper's bound needs.
 solve_basic picks with its own code (select_heavy), so the two check
 one another. solve_greedy grows the placement one replica at a time,
 each on the leaf whose root path has the smallest failure numbers.
@@ -48,7 +51,7 @@ the returned placement.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
@@ -127,9 +130,11 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
     The split is the water-filling one: a child fills exactly when its
     capacity is at most the common level the rest settle at, so filled
     capacities never exceed the base share of the unfilled children.
-    The level is found by repeatedly partitioning the undecided
-    capacities around their lower median. Worst-case linear overall via
-    nth_smallest.
+    Nothing fills exactly when r is below the smallest capacity times
+    the number of children; that case, which covers most wide nodes, is
+    answered from min and sum alone. Otherwise the level is found by
+    repeatedly partitioning the undecided capacities around their lower
+    median. Worst-case linear overall via nth_smallest.
     """
     caps = list(capacities)
     if not caps:
@@ -140,6 +145,13 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
     total = sum(caps)
     if not 0 <= r <= total:
         raise InfeasibleError(f"cannot place {r} replicas into capacity {total}")
+
+    # If any child fills, every child holds at least low replicas, so
+    # r >= low * n; if r >= low * n, the base share is at least low, so
+    # the smallest child fills. Under most wide nodes nothing does.
+    n = len(caps)
+    if r < low * n:
+        return (), tuple(range(n)), r, r % n
 
     # Children with capacity at most level fill. pool holds the
     # capacities not yet decided, s the replicas left for them and the
@@ -167,9 +179,8 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
             level, s = med - 1, x
             break
 
-    # s now holds the replicas left after every child at or below level.
-    if level < low:  # nothing fills, as under most wide nodes
-        return (), tuple(range(len(caps))), s, s % len(caps)
+    # s now holds the replicas left after every child at or below level,
+    # and level >= low: the smallest child fills, as r >= low * n.
     filled = tuple([i for i, c in enumerate(caps) if c <= level])
     unfilled = tuple([i for i, c in enumerate(caps) if c > level])
     return filled, unfilled, s, s % len(unfilled) if unfilled else 0
@@ -346,7 +357,8 @@ def _divide(tree: Tree, rho: int) -> list[Record]:
     while pending:
         u, m, nh = pending.pop()
         kids = tree.children(u)
-        filled, unfilled, remaining, beta = label_children([leaf_count[c] for c in kids], m)
+        caps = list(map(leaf_count.__getitem__, kids))
+        filled, unfilled, remaining, beta = label_children(caps, m)
         unf = kids if len(unfilled) == len(kids) else [kids[i] for i in unfilled]
         records.append((u, m, nh, remaining, beta, unf, [kids[i] for i in filled]))
         # Unfilled children that stay empty are priced in closed form by
@@ -367,6 +379,28 @@ def _cheapest(keys: list, beta: int, heavy: bool) -> tuple[set[int], set[int]]:
     return ({i for i in picked if keys[i] < cut}, picked) if heavy else (picked, set())
 
 
+def _shallowest(ds: list[int], beta: int, heavy: bool) -> tuple[list[int], list[int]]:
+    """Positions of the beta smallest depths and, when heavy, of the
+    beta + 1 smallest, ties by position. At least one is picked: beta
+    >= 1 or heavy. When the shallowest depth covers them, they are its
+    first positions and no rank selection runs. Otherwise they are the
+    positions shallower than the rank-k depth (cut), then the first
+    ones at cut. Either way the beta smallest are the beta + 1 smallest
+    but the last position taken at cut."""
+    k = beta + 1 if heavy else beta
+    cut = min(ds)
+    if ds.count(cut) >= k:
+        picked = []
+    else:
+        cut = nth_smallest(ds, k - 1)
+        picked = [i for i, d in enumerate(ds) if d < cut]
+    i = -1
+    while len(picked) < k:
+        i = ds.index(cut, i + 1)
+        picked.append(i)
+    return (picked[:-1], picked) if heavy else (picked, [])
+
+
 def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Near-linear solver: label each node once top down, then combine
     failure-number histograms bottom up."""
@@ -383,7 +417,7 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # holds the positions among its unfilled children that take the
     # extra replicas, light and heavy.
     hists: dict[int, tuple[list[int], list[int] | None]] = {}
-    picks: dict[int, tuple[set[int], set[int]]] = {}
+    picks: dict[int, tuple[Collection[int], Collection[int]]] = {}
     for u, m, nh, remaining, beta, unf, filled in reversed(records):
         size = m + 2 if nh else m + 1
         if len(unf) == 1 and remaining:
@@ -399,15 +433,13 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # to 1 when the child takes an extra replica. That step is
             # (path, -path), so the shallowest children are the
             # cheapest, ties by position.
-            n = len(unf)
-            picks[u] = light_sel, heavy_sel = _cheapest(
-                [d * n + i for i, d in enumerate(map(depth.__getitem__, unf))], beta, nh
-            )
+            ds = list(map(depth.__getitem__, unf))
+            picks[u] = light_sel, heavy_sel = _shallowest(ds, beta, nh)
             nodes = sum(map(node_count.__getitem__, unf))
             light = [0] * size
             heavy = [0] * size if nh else None
             for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):
-                path = sum(depth[unf[i]] + 1 for i in sel)
+                path = sum(map(ds.__getitem__, sel)) + len(sel)
                 hist[0] = nodes - path
                 hist[1] = path
         else:

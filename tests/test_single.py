@@ -625,3 +625,105 @@ def test_fast_matches_basic_on_wide_fanouts():
             agg, placement = solve_fast(model, rho)
             assert (agg, placement) == solve_basic(model, rho), rho
             assert failure_aggregate(model, placement, rho).entries == agg.entries
+
+
+def test_label_children_at_the_nothing_fills_boundary():
+    # Nothing fills exactly when r < min(caps) * n: just below, at and
+    # just above that bound the split is the water level's.
+    rng = random.Random(37)
+    for n in (100, 1000, 5000):
+        for caps in (
+            [1] * n,
+            [6] * n,
+            [rng.randint(3, 30) for _ in range(n)],
+            [rng.choice((2, 9)) for _ in range(n - 1)] + [1],
+        ):
+            bound = min(caps) * n
+            for r in (bound - 1, bound, bound + 1):
+                if r > sum(caps):
+                    continue
+                filled, unfilled, remaining, _ = water_level_split(caps, r)
+                assert bool(filled) == (r >= bound), (n, r)
+                heavy_count = remaining % len(unfilled) if unfilled else 0
+                assert label_children(caps, r) == (filled, unfilled, remaining, heavy_count), (n, r)
+
+
+def _counting_nth_smallest(monkeypatch):
+    calls = []
+
+    def counting(items, k):
+        calls.append(len(items))
+        return nth_smallest(items, k)
+
+    monkeypatch.setattr("fdplace.single.nth_smallest", counting)
+    return calls
+
+
+def test_fast_labels_and_prices_a_wide_star_without_rank_selection(monkeypatch):
+    # Neither the virtual root's only child nor the hub's 30,000 leaves
+    # can fill, and the 64 picks all come from the one depth class.
+    calls = _counting_nth_smallest(monkeypatch)
+    model = _build([("hub", None, False)] + _star("s", "hub", 30_000))
+    agg, placement = solve_fast(model, 64)
+    assert calls == []
+    assert placement.leaves == {f"s{i}" for i in range(64)}
+    assert agg.entries[63:] == (64, 30_000 - 64)
+
+
+def _depth_order_picks(ds, beta, heavy):
+    order = sorted(range(len(ds)), key=lambda i: (ds[i], i))
+    return set(order[:beta]), set(order[: beta + 1]) if heavy else set()
+
+
+def test_shallowest_matches_sorting(monkeypatch):
+    calls = _counting_nth_smallest(monkeypatch)
+    cases = [
+        ([2] * 50, 7, True),  # all depths equal
+        ([1] * 9 + [2] * 5 + [1] + [3] * 40, 10, True),  # shallowest one short: cut path
+        ([3, 1, 2, 2, 0, 2, 1, 2] * 10, 25, False),  # ties at the cut
+        ([3, 1, 2, 2, 0, 2, 1, 2] * 10, 0, True),  # beta 0, flagged
+        ([2, 0, 1, 1, 3, 0] * 5, 29, True),  # beta + 1 == n
+        ([2, 0, 1, 1, 3, 0] * 5, 30, False),  # beta == n
+    ]
+    rng = random.Random(43)
+    for n in (1, 2, 61, 62, 300, 5000):
+        weights = [rng.random() for _ in range(4)]
+        ds = rng.choices(range(4), weights, k=n)
+        for beta in {0, 1, n // 3, n // 2, n - 1, n}:
+            for heavy in (False, True):
+                if (beta or heavy) and beta + heavy <= n:
+                    cases.append((ds, beta, heavy))
+    for ds, beta, heavy in cases:
+        del calls[:]
+        light, heavy_picks = single._shallowest(ds, beta, heavy)
+        assert (set(light), set(heavy_picks)) == _depth_order_picks(ds, beta, heavy), (ds, beta)
+        assert len(light) == beta and len(heavy_picks) == (beta + 1 if heavy else 0)
+        # The shallowest class covering the picks needs no selection.
+        covered = ds.count(min(ds)) >= beta + heavy
+        assert calls == ([] if covered else [len(ds)]), (ds, beta, heavy)
+
+
+def test_fast_on_racks_beside_direct_servers():
+    # 30 racks, about a fifth of them one level deeper, and 10 servers
+    # right under the root: for rho 11 to 39 the root's children all
+    # stay empty and more of them take a replica than the 10 shallowest,
+    # so the picks cut into the racks by depth, ties by position. Every
+    # rho up to 45 covers that range; basic and greedy at every rho of
+    # a larger model would take tens of seconds.
+    rng = random.Random(41)
+    direct = set(rng.sample(range(40), 10))
+    spec = [("dc", None, False)]
+    for c in range(40):
+        if c in direct:
+            spec.append((f"d{c}", "dc", True))
+            continue
+        spec.append((f"r{c}", "dc", False))
+        run, bottom = _path(f"r{c}p", f"r{c}", int(rng.random() < 0.2))
+        spec += run + _star(f"r{c}s", bottom, rng.randint(4, 8))
+    model = _build(spec)
+    n = len(model.leaves)
+    for rho in [*range(1, 46), 64, 100, n - 1, n]:
+        agg, placement = solve_fast(model, rho)
+        assert (agg, placement) == solve_basic(model, rho), rho
+        if rho <= 45:
+            assert agg.entries == solve_greedy(model, rho)[0].entries, rho
