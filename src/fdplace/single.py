@@ -19,16 +19,20 @@ at its mass and at one replica more; ties go by position. Children
 left empty rank by the depth of their shallowest leaf (one replica
 there fails just that path), and two sums price them all. When the
 shallowest depth class holds enough children, the picks are its first
-positions and no rank selection runs; otherwise one selection finds
-the depth to cut at (_shallowest). Other children rank by their step
-from light to heavy, by one rank selection (_cheapest). Rank
-selections (nth_smallest, also behind label_children's water level
-when some child fills) pivot on a small sorted sample and fall back to
-the median of medians after a step that keeps over 3/4 of the pool,
-so they stay linear in the worst case, as the paper's bound needs.
-solve_basic picks with its own code (select_heavy), so the two check
-one another. solve_greedy grows the placement one replica at a time,
-each on the leaf whose root path has the smallest failure numbers.
+positions; otherwise the children are counted per depth and the depths
+walked in order to the one to cut at (_shallowest). Other children
+rank by their step from light to heavy, by a sort (_cheapest).
+
+The sorts keep the paper's O(n + rho log rho). A node whose children
+are sorted (_cheapest, and label_children's water level when some
+child fills) gives every child a replica. Nodes with two or more such
+children branch inside the tree spanned by the rho placed leaves, so
+they sort at most 2 rho children in all. _shallowest sorts only
+distinct depths, and D of them need at least D(D+1)/2 nodes below
+that no other node's sort sees, so those sorts are O(n). solve_basic
+picks with its own code (select_heavy), so the two check one another.
+solve_greedy grows the placement one replica at a time, each on the
+leaf whose root path has the smallest failure numbers.
 
 Both recursive solvers start at the tree's virtual root, whose children
 are the model's roots and which adds no entry of its own, so a forest
@@ -59,60 +63,6 @@ from .metrics import FailureAggregate, Placement
 from .model import FailureModel, Tree, postorder  # noqa: F401
 
 
-def nth_smallest(items: list, k: int):
-    """Rank-k element (0-indexed) in worst-case linear time. items is
-    left as it is.
-
-    Introselect (Musser 1997). A pool of fewer than 62 items is sorted.
-    A larger one is partitioned around a pivot by two list
-    comprehensions and list.count, and the side holding rank k is kept.
-    The pivot comes from a small sorted sample (_sample_pivot), which
-    usually leaves a short side. A step that keeps more than 3/4 of its
-    pool makes the next step take the median of medians (_median_pivot)
-    instead, which keeps at most 7/10 of the pool plus 4. Each step
-    costs time linear in its pool, and a median-of-medians step adds a
-    selection among a fifth of it. So a sampled step either keeps at
-    most 3/4, or it and the step after it keep at most 7/10 plus 4 at
-    the cost of that selection. As 3/4 < 1 and 1/5 + 7/10 < 1, the
-    total is O(n) whatever the input.
-    """
-    n = len(items)
-    if not 0 <= k < n:
-        raise ValueError(f"rank {k} out of range for {n} items")
-    pool, fallback = items, False
-    while n >= 62:
-        pivot = _median_pivot(pool) if fallback else _sample_pivot(pool, k)
-        lower = [x for x in pool if x < pivot]
-        if k < len(lower):
-            pool = lower
-        else:
-            k -= len(lower)
-            equal = pool.count(pivot)
-            if k < equal:
-                return pivot
-            k -= equal
-            pool = [x for x in pool if x > pivot]
-        fallback = 4 * len(pool) > 3 * n
-        n = len(pool)
-    return sorted(pool)[k]
-
-
-def _sample_pivot(pool: list, k: int):
-    """Of every (len // 31)-th item, sorted (31 to 46 of them), the one
-    a place from rank k's quantile toward the middle, so that rank k
-    most likely falls between the pivot and the nearer end."""
-    sample = sorted(pool[:: len(pool) // 31])
-    i = k * len(sample) // len(pool)
-    return sample[i + 1 if 2 * k < len(pool) else i - 1]
-
-
-def _median_pivot(pool: list):
-    """The median of the medians of groups of five (Blum et al. 1973):
-    at least 3/10 of the grouped items lie on either side of it."""
-    medians = [sorted(pool[i : i + 5])[2] for i in range(0, len(pool) - 4, 5)]
-    return nth_smallest(medians, len(medians) // 2)
-
-
 # (filled, unfilled, remaining, heavy_count): see label_children.
 Label = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
@@ -132,9 +82,14 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
     capacities never exceed the base share of the unfilled children.
     Nothing fills exactly when r is below the smallest capacity times
     the number of children; that case, which covers most wide nodes, is
-    answered from min and sum alone. Otherwise the level is found by
-    repeatedly partitioning the undecided capacities around their lower
-    median. Worst-case linear overall via nth_smallest.
+    answered from min and sum alone. Otherwise the level is found by one
+    scan of the sorted capacities, smallest first, which costs
+    O(n log n) for n children. That stays within the paper's
+    O(n + rho log rho): past the early return every child takes at
+    least one replica, so n <= r. The nodes solve_fast labels with
+    r >= n branch inside a tree of at most rho leaves, each holding a
+    replica, so their fan-outs of two or more sum to at most 2 rho and
+    these sorts cost O(rho log rho) per solve.
     """
     caps = list(capacities)
     if not caps:
@@ -153,37 +108,19 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
     if r < low * n:
         return (), tuple(range(n)), r, r % n
 
-    # Children with capacity at most level fill. pool holds the
-    # capacities not yet decided, s the replicas left for them and the
-    # n_unfilled children already known to stay unfilled.
-    level = n_unfilled = 0
-    pool = caps
-    s = r
-    while pool:
-        med = nth_smallest(pool, (len(pool) - 1) // 2)
-        below = [c for c in pool if c < med]
-        x = s - sum(below)
-        cnt = n_unfilled + len(pool) - len(below)
-        if x < (med - 1) * cnt:
-            # Too few replicas for everyone at the median to fill up:
-            # the median and above stay unfilled, recurse on the rest.
-            n_unfilled = cnt
-            pool = below
-        elif x >= med * cnt:
-            # Enough that everyone up to the median fills completely.
-            level = med
-            s = x - med * pool.count(med)
-            pool = [c for c in pool if c > med]
-        else:
-            # The children below the median fill; the rest share x.
-            level, s = med - 1, x
+    # Children with capacity at most level fill: the next smallest child
+    # fills when the s replicas left for the k children not yet filled
+    # give each of them its capacity.
+    level, s, k = 0, r, n
+    for c in sorted(caps):
+        if c * k > s:
             break
+        level, s, k = c, s - c, k - 1
 
-    # s now holds the replicas left after every child at or below level,
-    # and level >= low: the smallest child fills, as r >= low * n.
+    # level >= low: the smallest child fills, as r >= low * n.
     filled = tuple([i for i, c in enumerate(caps) if c <= level])
     unfilled = tuple([i for i, c in enumerate(caps) if c > level])
-    return filled, unfilled, s, s % len(unfilled) if unfilled else 0
+    return filled, unfilled, s, s % k if k else 0
 
 
 def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int) -> set[int]:
@@ -192,8 +129,9 @@ def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int
     pair holds a child's best aggregates at its base mass (light) and
     at one replica more (heavy).
 
-    Uses rank selection plus a partition pass, so the cost stays linear
-    in the number of children regardless of beta.
+    solve_basic's picker, kept apart from solve_fast's so that the two
+    check one another. It sorts the keys, O(n log n) for n children,
+    which the reference solver can afford.
     """
     if beta < 0 or beta > len(pairs):
         raise ValueError(f"cannot pick {beta} of {len(pairs)} children")
@@ -205,8 +143,8 @@ def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int
             raise ValueError("light and heavy differ in length")
         diff = tuple(h - l for l, h in zip(light, heavy))
         keys.append((diff, i))
-    threshold = nth_smallest(keys, beta - 1)
-    return {i for diff, i in keys if (diff, i) <= threshold}
+    keys.sort()
+    return {i for _, i in keys[:beta]}
 
 
 def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int]) -> None:
@@ -371,28 +309,41 @@ def _divide(tree: Tree, rho: int) -> list[Record]:
 
 def _cheapest(keys: list, beta: int, heavy: bool) -> tuple[set[int], set[int]]:
     """Positions of the beta smallest keys and, when heavy, of the
-    beta + 1 smallest, by one rank selection. The keys must be distinct,
-    so the beta smallest are the beta + 1 smallest but the rank-beta
-    one. At least one key is picked: beta >= 1 or heavy."""
-    cut = nth_smallest(keys, beta if heavy else beta - 1)
-    picked = {i for i, key in enumerate(keys) if key <= cut}
-    return ({i for i in picked if keys[i] < cut}, picked) if heavy else (picked, set())
+    beta + 1 smallest. Each key is a (step, position) pair, so the keys
+    are distinct and a sort ranks them. It is called only where every
+    child takes a replica (remaining >= len(unf) in solve_fast), so its
+    O(n log n) is paid for as label_children's sort is."""
+    order = [i for _, i in sorted(keys)]
+    return set(order[:beta]), set(order[: beta + 1]) if heavy else set()
 
 
 def _shallowest(ds: list[int], beta: int, heavy: bool) -> tuple[list[int], list[int]]:
     """Positions of the beta smallest depths and, when heavy, of the
     beta + 1 smallest, ties by position. At least one is picked: beta
     >= 1 or heavy. When the shallowest depth covers them, they are its
-    first positions and no rank selection runs. Otherwise they are the
-    positions shallower than the rank-k depth (cut), then the first
-    ones at cut. Either way the beta smallest are the beta + 1 smallest
-    but the last position taken at cut."""
+    first positions. Otherwise one pass counts the children per depth,
+    and the depths are walked in order to the one where the count
+    reaches k (cut); the picks are the positions shallower than cut,
+    then the first ones at cut. Either way the beta smallest are the
+    beta + 1 smallest but the last position taken at cut.
+
+    Only the distinct depths are sorted. The empty children showing D
+    distinct shallowest-leaf depths hold at least 1 + 2 + ... + D nodes,
+    and no node below them is labeled, so these subtrees are disjoint
+    across calls and the sorts cost O(n) in all."""
     k = beta + 1 if heavy else beta
     cut = min(ds)
     if ds.count(cut) >= k:
         picked = []
     else:
-        cut = nth_smallest(ds, k - 1)
+        counts: dict[int, int] = {}
+        for d in ds:
+            counts[d] = counts.get(d, 0) + 1
+        upto = 0
+        for cut in sorted(counts):
+            upto += counts[cut]
+            if upto >= k:
+                break
         picked = [i for i, d in enumerate(ds) if d < cut]
     i = -1
     while len(picked) < k:
@@ -435,7 +386,7 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # cheapest, ties by position.
             ds = list(map(depth.__getitem__, unf))
             picks[u] = light_sel, heavy_sel = _shallowest(ds, beta, nh)
-            nodes = sum(map(node_count.__getitem__, unf))
+            nodes = node_count[u] - (u != top) - sum(map(node_count.__getitem__, filled))
             light = [0] * size
             heavy = [0] * size if nh else None
             for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):

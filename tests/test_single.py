@@ -15,7 +15,6 @@ from fdplace.oracle import check_balanced, oracle_single
 from fdplace import single
 from fdplace.single import (
     label_children,
-    nth_smallest,
     select_heavy,
     solve_basic,
     solve_fast,
@@ -36,81 +35,6 @@ def water_level_split(caps, r):
     unfilled = tuple(i for i, c in enumerate(caps) if c > h)
     remaining = r - sum(caps[i] for i in filled)
     return filled, unfilled, remaining, h
-
-
-def test_nth_smallest_matches_sorting():
-    rng = random.Random(3)
-    for _ in range(60):
-        items = [rng.randint(0, 20) for _ in range(rng.randint(1, 120))]
-        k = rng.randrange(len(items))
-        assert nth_smallest(items, k) == sorted(items)[k]
-
-
-def test_nth_smallest_bounds():
-    with pytest.raises(ValueError):
-        nth_smallest([1, 2], 2)
-    with pytest.raises(ValueError):
-        nth_smallest([], 0)
-    assert nth_smallest([5], 0) == 5
-
-
-def _selection_pools(rng):
-    """Pools on both sides of the sort cutoff, in the shapes that trouble
-    a pivot rule: sorted, reversed, organ pipe, all equal, few distinct,
-    random floats and (key, position) tuples whose keys tie."""
-    for n in (41, 61, 62, 63, 93, 257, 1000, 3000):
-        yield list(range(n))
-        yield list(range(n, 0, -1))
-        yield list(range(n // 2)) + list(range(n - n // 2, 0, -1))
-        yield [7] * n
-        yield [rng.randrange(3) for _ in range(n)]
-        yield [rng.random() for _ in range(n)]
-        yield [(rng.randrange(5), i) for i in range(n)]
-
-
-def _ranks(rng, n):
-    return (0, 1, n // 2, n - 2, n - 1, rng.randrange(n))
-
-
-def test_nth_smallest_matches_sorting_on_large_pools():
-    rng = random.Random(11)
-    for items in _selection_pools(rng):
-        before = list(items)
-        ordered = sorted(items)
-        for k in _ranks(rng, len(items)):
-            assert nth_smallest(items, k) == ordered[k], (len(items), k)
-        assert items == before
-
-
-def test_nth_smallest_stays_linear_under_the_worst_pivot(monkeypatch):
-    # The smallest item is the worst pivot: a step around it keeps all
-    # but its copies, so only the median-of-medians fallback keeps the
-    # work linear.
-    median_pivot = single._median_pivot
-    partitioned, fallbacks = [], []
-
-    def smallest(pool, k):
-        partitioned.append(len(pool))
-        return min(pool)
-
-    def median(pool):
-        partitioned.append(len(pool))
-        fallbacks.append(len(pool))
-        return median_pivot(pool)
-
-    monkeypatch.setattr(single, "_sample_pivot", smallest)
-    monkeypatch.setattr(single, "_median_pivot", median)
-    rng = random.Random(13)
-    for items in _selection_pools(rng):
-        n = len(items)
-        ordered = sorted(items)
-        for k in _ranks(rng, n):
-            partitioned.clear()
-            fallbacks.clear()
-            assert nth_smallest(items, k) == ordered[k], (n, k)
-            assert sum(partitioned) <= 8 * n, (n, k)
-            if k == n - 1 and n > 62 and len(set(items)) == n:
-                assert fallbacks, n
 
 
 def test_label_children_uneven_racks():
@@ -616,8 +540,8 @@ def test_select_heavy_on_wide_nodes():
 
 def test_fast_matches_basic_on_wide_fanouts():
     # A star, whose leaves stay empty or fill, and racks under one root,
-    # which at larger rho take replicas unevenly: both rank more children
-    # than nth_smallest sorts outright.
+    # which at larger rho take replicas unevenly: both rank hundreds of
+    # children at one node.
     star = _build([("hub", None, False)] + _star("s", "hub", 500))
     racks = _jittered_racks(random.Random(31), (100, 4))  # 68 racks, 261 servers
     for model, rhos in ((star, (1, 64, 499)), (racks, (1, 64, 200, 250))):
@@ -648,26 +572,43 @@ def test_label_children_at_the_nothing_fills_boundary():
                 assert label_children(caps, r) == (filled, unfilled, remaining, heavy_count), (n, r)
 
 
-def _counting_nth_smallest(monkeypatch):
-    calls = []
+def test_fast_sorts_at_most_two_rho_children(monkeypatch):
+    # label_children past its early return and _cheapest sort only
+    # children that each take a replica. Those nodes branch inside the
+    # tree spanned by the rho placed leaves, so the children they sort
+    # number at most 2 rho per solve: the sorts fit the paper's
+    # O(n + rho log rho).
+    label, cheapest = single.label_children, single._cheapest
+    labeled, ranked = [], []
 
-    def counting(items, k):
-        calls.append(len(items))
-        return nth_smallest(items, k)
+    def counting_label(caps, r):
+        if len(caps) >= 2 and r >= min(caps) * len(caps):
+            labeled.append(len(caps))
+        return label(caps, r)
 
-    monkeypatch.setattr("fdplace.single.nth_smallest", counting)
-    return calls
+    def counting_cheapest(keys, beta, heavy):
+        if len(keys) >= 2:
+            ranked.append(len(keys))
+        return cheapest(keys, beta, heavy)
 
-
-def test_fast_labels_and_prices_a_wide_star_without_rank_selection(monkeypatch):
-    # Neither the virtual root's only child nor the hub's 30,000 leaves
-    # can fill, and the 64 picks all come from the one depth class.
-    calls = _counting_nth_smallest(monkeypatch)
-    model = _build([("hub", None, False)] + _star("s", "hub", 30_000))
-    agg, placement = solve_fast(model, 64)
-    assert calls == []
-    assert placement.leaves == {f"s{i}" for i in range(64)}
-    assert agg.entries[63:] == (64, 30_000 - 64)
+    monkeypatch.setattr(single, "label_children", counting_label)
+    monkeypatch.setattr(single, "_cheapest", counting_cheapest)
+    rng = random.Random(47)
+    for trial in range(300):
+        leaves = rng.randint(3, 500)
+        model = random_model(
+            leaves,
+            seed=60_000 + trial,
+            max_fanout=rng.randint(2, 400),
+            max_capacity=3,
+            roots=rng.randint(1, 3),
+        )
+        for rho in {1, 2, 3, leaves // 8, leaves // 3, leaves - 1, leaves} - {0}:
+            labeled.clear()
+            ranked.clear()
+            solve_fast(model, rho)
+            assert sum(labeled) <= 2 * rho, (trial, rho, labeled)
+            assert sum(ranked) <= 2 * rho, (trial, rho, ranked)
 
 
 def _depth_order_picks(ds, beta, heavy):
@@ -675,8 +616,7 @@ def _depth_order_picks(ds, beta, heavy):
     return set(order[:beta]), set(order[: beta + 1]) if heavy else set()
 
 
-def test_shallowest_matches_sorting(monkeypatch):
-    calls = _counting_nth_smallest(monkeypatch)
+def test_shallowest_matches_sorting():
     cases = [
         ([2] * 50, 7, True),  # all depths equal
         ([1] * 9 + [2] * 5 + [1] + [3] * 40, 10, True),  # shallowest one short: cut path
@@ -686,21 +626,18 @@ def test_shallowest_matches_sorting(monkeypatch):
         ([2, 0, 1, 1, 3, 0] * 5, 30, False),  # beta == n
     ]
     rng = random.Random(43)
-    for n in (1, 2, 61, 62, 300, 5000):
-        weights = [rng.random() for _ in range(4)]
-        ds = rng.choices(range(4), weights, k=n)
+    # The last pool shows 60 distinct depths, so the cut walks many.
+    for n, classes in ((1, 4), (2, 4), (61, 4), (62, 4), (300, 4), (5000, 4), (3000, 60)):
+        weights = [rng.random() for _ in range(classes)]
+        ds = rng.choices(range(classes), weights, k=n)
         for beta in {0, 1, n // 3, n // 2, n - 1, n}:
             for heavy in (False, True):
                 if (beta or heavy) and beta + heavy <= n:
                     cases.append((ds, beta, heavy))
     for ds, beta, heavy in cases:
-        del calls[:]
         light, heavy_picks = single._shallowest(ds, beta, heavy)
         assert (set(light), set(heavy_picks)) == _depth_order_picks(ds, beta, heavy), (ds, beta)
         assert len(light) == beta and len(heavy_picks) == (beta + 1 if heavy else 0)
-        # The shallowest class covering the picks needs no selection.
-        covered = ds.count(min(ds)) >= beta + heavy
-        assert calls == ([] if covered else [len(ds)]), (ds, beta, heavy)
 
 
 def test_fast_on_racks_beside_direct_servers():
