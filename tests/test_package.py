@@ -155,3 +155,17 @@ def test_unused_accessors_are_gone():
     # gives the left census back through a single cell.
     left, right = kernel.intern((0, 1, 0)), kernel.intern((0, 0, 1))
     assert (left, 0, ((1, 2, 1),)) in kernel.merges(left, right)
+
+
+def test_rank_selection_is_gone():
+    # solve_fast and solve_basic rank by sorting or counting: the
+    # introselect and its pivot helpers are deleted, and no source file
+    # names them.
+    from fdplace import single
+
+    names = ("nth_smallest", "_sample_pivot", "_median_pivot")
+    for name in names:
+        assert not hasattr(single, name), name
+    for path in sorted((ROOT / "src" / "fdplace").glob("*.py")):
+        text = path.read_text()
+        assert not any(name in text for name in names), path.name

@@ -664,3 +664,95 @@ def test_fast_on_racks_beside_direct_servers():
         assert (agg, placement) == solve_basic(model, rho), rho
         if rho <= 45:
             assert agg.entries == solve_greedy(model, rho)[0].entries, rho
+
+
+def test_label_children_when_the_share_equals_a_capacity():
+    # A child whose capacity equals the level the others settle at
+    # fills; one replica fewer and it stays unfilled. Every distinct
+    # capacity is tried as that level, on pools up to 3000 children.
+    rng = random.Random(53)
+    for n in (2, 7, 60, 3000):
+        for caps in (
+            [rng.randint(1, 12) for _ in range(n)],
+            [rng.choice((2, 5, 5, 9)) for _ in range(n)],
+        ):
+            for level in sorted(set(caps)):
+                exact = sum(min(c, level) for c in caps)
+                for r in (exact - 1, exact, exact + 1):
+                    if not 0 <= r <= sum(caps):
+                        continue
+                    filled, unfilled, remaining, _ = water_level_split(caps, r)
+                    heavy_count = remaining % len(unfilled) if unfilled else 0
+                    got = label_children(caps, r)
+                    assert got == (filled, unfilled, remaining, heavy_count), (n, level, r)
+                    at_level = [i for i, c in enumerate(caps) if c == level]
+                    assert set(at_level) <= set(got[0]) if r >= exact else not set(at_level) & set(got[0])
+
+
+def test_cheapest_agrees_with_select_heavy():
+    # solve_fast's picker ranks histograms indexed by failure number,
+    # highest compared first; solve_basic's ranks aggregates, which list
+    # the highest failure number first. On the same children both pick
+    # the same positions, on pools up to 3000 with many equal steps.
+    rng = random.Random(59)
+    for n in (2, 3, 10, 200, 3000):
+        lights = [[rng.randint(0, 3) for _ in range(5)] for _ in range(n)]
+        heavies = [[v + rng.randint(0, 1) for v in light] for light in lights]
+        keys = [([h - l for l, h in zip(cl, ch)][::-1], i) for i, (cl, ch) in enumerate(zip(lights, heavies))]
+        pairs = [(tuple(reversed(cl)), tuple(reversed(ch))) for cl, ch in zip(lights, heavies)]
+        for beta in sorted({0, 1, n // 3, n // 2, n - 1}):
+            for heavy in (False, True):
+                if not (beta or heavy):
+                    continue
+                light_sel, heavy_sel = single._cheapest(keys, beta, heavy)
+                assert light_sel == select_heavy(pairs, beta), (n, beta)
+                assert heavy_sel == (select_heavy(pairs, beta + 1) if heavy else set()), (n, beta)
+
+
+def _staircase(prefix, parent, steps):
+    """Children of parent whose only leaves sit 0, 1, ..., steps - 1
+    levels below them: steps distinct depths over steps(steps+1)/2 nodes."""
+    spec = []
+    for s in range(steps):
+        run, bottom = _path(f"{prefix}{s}p", parent, s)
+        spec += run + _star(f"{prefix}{s}s", bottom, 1)
+    return spec
+
+
+def test_fast_sorts_depths_within_the_node_count(monkeypatch):
+    # _shallowest sorts at most the distinct depths of the empty
+    # children it ranks. D distinct depths need D(D+1)/2 nodes below
+    # those children, and these subtrees are disjoint across calls, so
+    # over one solve the D(D+1)/2 sum stays within the model's nodes:
+    # the depth sorts are O(n).
+    shallowest = single._shallowest
+    distinct = []
+
+    def counting(ds, beta, heavy):
+        distinct.append(len(set(ds)))
+        return shallowest(ds, beta, heavy)
+
+    monkeypatch.setattr(single, "_shallowest", counting)
+    rng = random.Random(61)
+    models = [
+        _build([("hub", None, False)] + _staircase("c", "hub", 40)),
+        _build([("hub", None, False)] + _staircase("c", "hub", 12) + _star("s", "hub", 30)),
+    ]
+    models += _mostly_empty_models()
+    for trial in range(60):
+        leaves = rng.randint(3, 400)
+        models.append(
+            random_model(
+                leaves, seed=70_000 + trial, max_fanout=rng.randint(2, 60), roots=rng.randint(1, 3)
+            )
+        )
+    widest = 0
+    for model in models:
+        leaves = len(model.leaves)
+        for rho in {1, 2, 3, leaves // 4, leaves // 2, leaves - 1} & set(range(1, leaves + 1)):
+            distinct.clear()
+            solve_fast(model, rho)
+            assert sum(d * (d + 1) // 2 for d in distinct) <= len(model.nodes), (leaves, rho)
+            widest = max(widest, *distinct, 0)
+    # The 40-step staircase is ranked at one node and meets the bound.
+    assert widest == 40
