@@ -4,9 +4,14 @@ Three implementations of the same optimization, used to cross-check one
 another. All three return a lexicographically minimal aggregate and one
 placement achieving it.
 
-solve_basic memoizes a straightforward recursion on (node, replica
-count). solve_fast makes two passes over the nodes. The first runs top
-down and labels each node that takes some but not all of its leaves'
+solve_basic runs the paper's recurrence on (node, replica count)
+literally: one rule for every state, with no closed form for empty or
+filled subtrees, so every node is visited. It keeps one histogram of
+m + 1 slots per state asked for m replicas, and only until the state's
+parent has read it.
+
+solve_fast makes two passes over the nodes. The first runs top down
+and labels each node that takes some but not all of its leaves'
 replicas, once: its children are filled or share the rest, and each
 unfilled child is flagged when it must also be priced at one replica
 more; it leaves one record per labeled node. The second runs bottom up
@@ -30,9 +35,10 @@ children branch inside the tree spanned by the rho placed leaves, so
 they sort at most 2 rho children in all. _shallowest sorts only
 distinct depths, and D of them need at least D(D+1)/2 nodes below
 that no other node's sort sees, so those sorts are O(n). solve_basic
-picks with its own code (select_heavy), so the two check one another.
-solve_greedy grows the placement one replica at a time, each on the
-leaf whose root path has the smallest failure numbers.
+shares only label_children with solve_fast and picks with its own code
+(select_heavy), so the two check one another. solve_greedy grows the
+placement one replica at a time, each on the leaf whose root path has
+the smallest failure numbers.
 
 Both recursive solvers start at the tree's virtual root, whose children
 are the model's roots and which adds no entry of its own, so a forest
@@ -43,14 +49,15 @@ inside the solvers are subtree leaf counts. A child is filled when its
 subtree holds as many replicas as it has leaves.
 
 The solvers work on the compiled tree (model.Tree) that parsing built.
-They read its subtree summaries: per node the subtree's leaf count (its
-capacity here), its node count (the aggregate of a subtree left empty)
-and its shallowest leaf with that leaf's depth below the node (where an
-empty subtree takes one extra replica most cheaply). The tree computes
-them in one pass the first time a solver reads one, so only the first
-solve on a model prepares anything. A filled subtree's aggregate and
-its leaves come from a walk of just that subtree. Ids appear only in
-the returned placement.
+solve_fast reads its subtree summaries: per node the subtree's leaf
+count (its capacity here), its node count (the aggregate of a subtree
+left empty) and its shallowest leaf with that leaf's depth below the
+node (where an empty subtree takes one extra replica most cheaply).
+solve_basic reads only the leaf count. The tree computes them in one
+pass the first time a solver reads one, so only the first solve on a
+model prepares anything. In solve_fast, a filled subtree's aggregate
+and its leaves come from a walk of just that subtree. Ids appear only
+in the returned placement.
 """
 
 from __future__ import annotations
@@ -126,8 +133,9 @@ def label_children(capacities: list[int] | tuple[int, ...], r: int) -> Label:
 def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int) -> set[int]:
     """Pick the beta children whose step from light to heavy is
     lexicographically cheapest (ties broken by child position). Each
-    pair holds a child's best aggregates at its base mass (light) and
-    at one replica more (heavy).
+    pair holds a child's best histograms by failure number at its base
+    mass (light) and at one replica more (heavy), both listed from the
+    highest failure number down and of equal length.
 
     solve_basic's picker, kept apart from solve_fast's so that the two
     check one another. It sorts the keys, O(n log n) for n children,
@@ -180,100 +188,86 @@ def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:
 
 
 def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
-    """Memoized reference solver over (node, replica count) states,
-    starting at the virtual root with all rho replicas."""
+    """Reference solver: the paper's recurrence on (node, replica count)
+    states, run literally from the virtual root with all rho replicas.
+
+    One rule covers every state, leaves and empty or filled subtrees
+    included. A node asked for m replicas labels its children with
+    label_children: a filled child takes all its leaves, an unfilled
+    one the base share, and beta of the unfilled ones one more, picked
+    by select_heavy. The state's value is its subtree's histogram by
+    failure number, with m + 1 slots: 1 at slot m for the node itself
+    (not for the virtual root), plus each child's histogram at the
+    count that child takes.
+
+    Three passes run over the nodes: parents first, then children
+    first, then parents first again. The first collects the counts each
+    node is asked for. The second values every state, keeping a
+    subtree's histograms only until its parent has read them. The third
+    follows the counts each state gave its children from (root, rho); a
+    leaf asked for 1 holds a replica. Every node is visited, so the cost
+    is O(n) states plus one m + 1 histogram per state. Of the subtree
+    summaries the solver reads only leaf_count, and it shares no closed
+    form with solve_fast.
+    """
     tree = model.tree
     _check_rho(tree, rho)
-    top = tree.root
-    leaf_count = tree.leaf_count
+    top, leaf_count = tree.root, tree.leaf_count
+    order = [top, *reversed(tree.bottom_up)]
+    # Per node, each count it is asked for maps to that state's label
+    # after the first pass and to the counts it gives its children after
+    # the second.
+    states: list[dict] = [{} for _ in order]
+    states[top][rho] = None
 
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-    labels: dict[tuple[int, int], Label] = {}
-    choices: dict[
-        tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int, frozenset[int]]
-    ] = {}
-    filled_cache: dict[int, tuple[int, ...]] = {}
-
-    def filled_value(u: int) -> tuple[int, ...]:
-        cached = filled_cache.get(u)
-        if cached is None:
-            hist = [0] * (rho + 1)
-            _fill([hist], tree, [u])
-            cached = tuple(reversed(hist))
-            filled_cache[u] = cached
-        return cached
-
-    stack: list[tuple[int, int]] = [(top, rho)]
-    while stack:
-        u, m = stack[-1]
-        if (u, m) in memo:
-            stack.pop()
-            continue
-        if m == 0:
-            entries = [0] * (rho + 1)
-            entries[rho] = tree.node_count[u]
-            memo[(u, m)] = tuple(entries)
-            stack.pop()
-            continue
-        if u != top and m == leaf_count[u]:
-            memo[(u, m)] = filled_value(u)
-            stack.pop()
-            continue
+    for u in order:
         kids = tree.children(u)
-        label = labels.get((u, m))
-        if label is None:
-            label = label_children([leaf_count[c] for c in kids], m)
-            labels[(u, m)] = label
-        filled, unf, remaining, beta = label
-        base = remaining // len(unf) if unf else 0
-        needed = [(kids[i], base) for i in unf]
-        if beta > 0:
-            needed += [(kids[i], base + 1) for i in unf]
-        missing = [st for st in needed if st not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        entries = [0] * (rho + 1)
-        if u != top:
-            entries[rho - m] += 1
-        for i in filled:
-            for j, v in enumerate(filled_value(kids[i])):
-                entries[j] += v
-        heavy_ids: frozenset[int] = frozenset()
-        if beta > 0:
-            pairs = [(memo[(kids[i], base)], memo[(kids[i], base + 1)]) for i in unf]
-            picked = select_heavy(pairs, beta)
-            heavy_ids = frozenset(kids[unf[j]] for j in picked)
-        for i in unf:
-            child = kids[i]
-            vec = memo[(child, base + 1)] if child in heavy_ids else memo[(child, base)]
-            for j, v in enumerate(vec):
-                entries[j] += v
-        memo[(u, m)] = tuple(entries)
-        choices[(u, m)] = (
-            tuple(kids[i] for i in filled),
-            tuple(kids[i] for i in unf),
-            base,
-            heavy_ids,
-        )
-        stack.pop()
+        caps = [leaf_count[c] for c in kids]
+        asked = states[u]
+        for m in asked:
+            label = label_children(caps, m) if kids else ((), (), 0, 0)
+            filled, unf, remaining, beta = label
+            for i in filled:
+                states[kids[i]][caps[i]] = None
+            for i in unf:
+                states[kids[i]][remaining // len(unf)] = None
+                if beta:
+                    states[kids[i]][remaining // len(unf) + 1] = None
+            asked[m] = label
 
-    out: list[int] = []
-    rstack: list[tuple[int, int]] = [(top, rho)]
-    while rstack:
-        u, m = rstack.pop()
-        if m == 0:
-            continue
-        if u != top and m == leaf_count[u]:
-            out.extend(_leaves_below(tree, [u]))
-            continue
-        filled_ids, unfilled_ids, base, heavy_ids = choices[(u, m)]
-        for c in filled_ids:
-            rstack.append((c, leaf_count[c]))
-        for c in unfilled_ids:
-            rstack.append((c, base + 1 if c in heavy_ids else base))
+    # The histograms of each state of the nodes whose parent is to come.
+    hists: dict[int, dict[int, list[int]]] = {}
+    for u in reversed(order):
+        kids = tree.children(u)
+        below = [hists.pop(c) for c in kids]
+        mine = hists[u] = {}
+        for m, (_, unf, remaining, beta) in states[u].items():
+            counts = [leaf_count[c] for c in kids]
+            for i in unf:
+                counts[i] = remaining // len(unf)
+            if beta:
+                # Each unfilled child's light and heavy histograms,
+                # listed from the highest failure number down.
+                pairs = [((below[i][counts[i]] + [0])[::-1], below[i][counts[i] + 1][::-1]) for i in unf]
+                for j in select_heavy(pairs, beta):
+                    counts[unf[j]] += 1
+            hist = [0] * (m + 1)
+            if u != top:
+                hist[m] = 1
+            for h, k in zip(below, counts):
+                for f, v in enumerate(h[k]):
+                    hist[f] += v
+            mine[m] = hist
+            states[u][m] = counts
 
-    return FailureAggregate(entries=memo[(top, rho)], rho=rho), _placement(tree, out)
+    take = [0] * len(order)
+    take[top] = rho
+    for u in order:
+        for c, k in zip(tree.children(u), states[u][take[u]]):
+            take[c] = k
+    leaves = [u for u in tree.bottom_up if take[u] and tree.capacity[u]]
+    entries = tuple(reversed(hists[top][rho]))
+    return FailureAggregate(entries=entries, rho=rho), _placement(tree, leaves)
 
 
 # A labeled node: (node, mass, need, remaining, heavy_count, unfilled
@@ -383,10 +377,12 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # number 0 but the path to its shallowest leaf, which moves
             # to 1 when the child takes an extra replica. That step is
             # (path, -path), so the shallowest children are the
-            # cheapest, ties by position.
+            # cheapest, ties by position. No child is filled here: a
+            # filled child gives every unfilled child at least its
+            # capacity, so remaining >= len(unf).
             ds = list(map(depth.__getitem__, unf))
             picks[u] = light_sel, heavy_sel = _shallowest(ds, beta, nh)
-            nodes = node_count[u] - (u != top) - sum(map(node_count.__getitem__, filled))
+            nodes = node_count[u] - (u != top)
             light = [0] * size
             heavy = [0] * size if nh else None
             for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -756,3 +757,44 @@ def test_fast_sorts_depths_within_the_node_count(monkeypatch):
             widest = max(widest, *distinct, 0)
     # The 40-step staircase is ranked at one node and meets the bound.
     assert widest == 40
+
+
+def _deep_shapes():
+    """Shapes random_model never builds: a 2,000-domain caterpillar with
+    one server per domain, a broom (a 2,000-domain chain over 200
+    servers) and a two-root forest of the two."""
+    caterpillar = []
+    parent = None
+    for i in range(2000):
+        caterpillar += [(f"c{i}", parent, False), (f"c{i}s", f"c{i}", True)]
+        parent = f"c{i}"
+    run, bottom = _path("b", None, 2000)
+    broom = run + _star("bs", bottom, 200)
+    return [_build(caterpillar), _build(broom), _build(caterpillar + broom)]
+
+
+def test_basic_matches_fast_on_deep_shapes():
+    # solve_greedy is left out: on a 50,000-deep caterpillar it gives no
+    # result in 300 s (ROADMAP item 1).
+    for model in _deep_shapes():
+        for rho in (1, 8, 64):
+            agg, placement = solve_basic(model, rho)
+            assert (agg, placement) == solve_fast(model, rho), rho
+            assert failure_aggregate(model, placement, rho) == agg
+            assert check_balanced(model, placement) == []
+
+
+def test_basic_keeps_one_short_histogram_per_state():
+    # solve_basic keeps m + 1 slots per state asked for m replicas, and
+    # drops a subtree's histograms once its parent has read them. Here
+    # that peaks near 5 MB; a rho + 1 tuple per state would take about
+    # 127 MB.
+    model = random_model(5000, 1)
+    model.tree.leaf_count
+    tracemalloc.start()
+    try:
+        solve_basic(model, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
