@@ -13,12 +13,13 @@ preserved and used as the child order everywhere downstream.
 
 parse_model validates the entries and compiles them into a Tree, flat
 lists indexed by file position, which the solvers work on. Parsing
-links the nodes and orders them bottom up; the subtree summaries that
-only the single-block solvers and the oracles read are computed the
-first time one of them is read. The id-keyed surface (nodes, children,
-roots, leaves, subtree_stats, postorder) is derived from the tree on
-first use; per-node facts (parent, capacity) are read as
-model.nodes[id].
+links the nodes and orders them bottom up; the three subtree summaries
+(leaf counts and shallowest leaves) that only the single-block solvers
+and the oracles read are computed the first time one of them is read.
+The id-keyed surface (nodes, children, roots, leaves, subtree_stats,
+postorder) is derived from the tree on first use, subtree_stats
+counting the nodes below each node itself; per-node facts (parent,
+capacity) are read as model.nodes[id].
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ Node = namedtuple("Node", ("id", "parent", "capacity"))
 
 class _Summary:
     """A subtree summary of Tree. Its first read runs Tree._summarize,
-    which sets all four as plain attributes that hide this descriptor.
+    which sets all three as plain attributes that hide this descriptor.
     (functools.cached_property would store them through the instance
     __dict__, and on CPython 3.11 and 3.12 that makes every later
     attribute read of the tree about three times slower, kids and first
@@ -69,12 +70,11 @@ class Tree:
     are kids[first[u]:first[u + 1]]. bottom_up lists the real nodes,
     each after all of its descendants.
 
-    The subtree summaries, per node, n included, are computed by one
-    pass over bottom_up the first time one of them is read: leaf_count
-    and node_count count its subtree's leaves and nodes (n not counting
-    itself); its shallowest leaf is min_depth_leaf (first in child order
-    on ties), min_rel_depth below it. leaf_total, the number of leaves,
-    needs no such pass.
+    The three subtree summaries, per node, n included, are computed by
+    one pass over bottom_up the first time one of them is read:
+    leaf_count counts its subtree's leaves; its shallowest leaf is
+    min_depth_leaf (first in child order on ties), min_rel_depth below
+    it. leaf_total, the number of leaves, needs no such pass.
     """
 
     def __init__(
@@ -102,7 +102,6 @@ class Tree:
         return len(self.ids)
 
     leaf_count = _Summary()
-    node_count = _Summary()
     min_rel_depth = _Summary()
     min_depth_leaf = _Summary()
 
@@ -111,19 +110,16 @@ class Tree:
         # Later siblings come first in bottom_up, so `<=` hands ties to
         # the first child.
         leaf_count = [1 if c else 0 for c in self.capacity] + [0]
-        node_count = [1] * n + [0]
         depth = [0 if c else n for c in self.capacity] + [n]
         best = list(range(n + 1))
         for u in self.bottom_up:
             p = parent[u]
             leaf_count[p] += leaf_count[u]
-            node_count[p] += node_count[u]
             d = depth[u] + 1
             if d <= depth[p]:
                 depth[p] = d
                 best[p] = best[u]
-        self.leaf_count, self.node_count = leaf_count, node_count
-        self.min_rel_depth, self.min_depth_leaf = depth, best
+        self.leaf_count, self.min_rel_depth, self.min_depth_leaf = leaf_count, depth, best
 
     def children(self, u: int) -> list[int]:
         return self.kids[self.first[u] : self.first[u + 1]]
@@ -358,7 +354,8 @@ def render_model(model: FailureModel) -> str:
 
 
 class SubtreeStats(Value):
-    """The tree's subtree summaries (see Tree), keyed by node id."""
+    """Per node id: the tree's three subtree summaries (see Tree) and
+    its subtree's node count, which subtree_stats counts itself."""
 
     __slots__ = ("leaf_count", "node_count", "min_rel_depth", "min_depth_leaf")
 
@@ -376,12 +373,16 @@ def postorder(model: FailureModel) -> list[str]:
 
 
 def subtree_stats(model: FailureModel) -> SubtreeStats:
-    """The compiled subtree summaries, keyed by node id."""
+    """The compiled subtree summaries and the node counts, keyed by
+    node id."""
     t = model.tree
     ids = t.ids
+    node_count = [1] * len(ids) + [0]
+    for u in t.bottom_up:
+        node_count[t.parent[u]] += node_count[u]
     return SubtreeStats(
         dict(zip(ids, t.leaf_count)),
-        dict(zip(ids, t.node_count)),
+        dict(zip(ids, node_count)),
         dict(zip(ids, t.min_rel_depth)),
         {u: ids[b] for u, b in zip(ids, t.min_depth_leaf)},
     )

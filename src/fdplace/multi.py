@@ -35,7 +35,7 @@ census pair, for checking it against brute force.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
@@ -46,33 +46,6 @@ from .value import Value
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
-
-
-def enum_weak_compositions(n: int, k: int):
-    """Yield all ways to write n as an ordered sum of k non-negative
-    parts, in a reflected order where consecutive outputs differ in
-    exactly two positions, one up by 1 and one down by 1."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k == 0:
-        if n > 0:
-            raise ValueError("cannot split a positive total into zero parts")
-        yield ()
-        return
-
-    def gen(total: int, parts: int, forward: bool):
-        if parts == 1:
-            yield (total,)
-            return
-        heads = range(total + 1) if forward else range(total, -1, -1)
-        for head in heads:
-            sub = forward if head % 2 == 0 else not forward
-            for rest in gen(total - head, parts - 1, sub):
-                yield (head,) + rest
-
-    yield from gen(n, k, True)
 
 
 class MergeKernel:
@@ -265,16 +238,11 @@ def target_signature(sizes: list[int] | tuple[int, ...]) -> tuple[Signature, int
 def _signature_domain(m: int, rho: int, delta: int) -> list[Vector]:
     """Every census of m blocks over sizes 0..rho whose support spans at
     most delta + 1 adjacent classes, leading class first."""
-    out: list[Vector] = []
-    for start in range(rho + 1):
-        width = min(delta + 1, rho + 1 - start)
-        for comp in enum_weak_compositions(m - 1, width):
-            entries = [0] * (rho + 1)
-            entries[start] = comp[0] + 1
-            for off in range(1, width):
-                entries[start + off] = comp[off]
-            out.append(tuple(entries))
-    return out
+    return [
+        tuple(map(classes.count, range(rho + 1)))
+        for classes in combinations_with_replacement(range(rho + 1), m)
+        if classes[-1] - classes[0] <= delta
+    ]
 
 
 def solve_multi(

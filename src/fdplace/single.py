@@ -22,11 +22,12 @@ such nodes costs no more than its drop in mass. Any other node builds
 fresh histograms and picks the children that take the extra replicas,
 at its mass and at one replica more; ties go by position. Children
 left empty rank by the depth of their shallowest leaf (one replica
-there fails just that path), and two sums price them all. When the
-shallowest depth class holds enough children, the picks are its first
-positions; otherwise the children are counted per depth and the depths
-walked in order to the one to cut at (_shallowest). Other children
-rank by their step from light to heavy, by a sort (_cheapest).
+there fails just that path), and one sum per histogram, the picked
+paths' length, prices them all. When the shallowest depth class holds
+enough children, the picks are its first positions; otherwise the
+children are counted per depth and the depths walked in order to the
+one to cut at (_shallowest). Other children rank by their step from
+light to heavy, by a sort (_cheapest).
 
 The sorts keep the paper's O(n + rho log rho). A node whose children
 are sorted (_cheapest, and label_children's water level when some
@@ -50,14 +51,14 @@ subtree holds as many replicas as it has leaves.
 
 The solvers work on the compiled tree (model.Tree) that parsing built.
 solve_fast reads its subtree summaries: per node the subtree's leaf
-count (its capacity here), its node count (the aggregate of a subtree
-left empty) and its shallowest leaf with that leaf's depth below the
-node (where an empty subtree takes one extra replica most cheaply).
-solve_basic reads only the leaf count. The tree computes them in one
-pass the first time a solver reads one, so only the first solve on a
-model prepares anything. In solve_fast, a filled subtree's aggregate
-and its leaves come from a walk of just that subtree. Ids appear only
-in the returned placement.
+count (its capacity here) and its shallowest leaf with that leaf's
+depth below the node (where an empty subtree takes one extra replica
+most cheaply). solve_basic reads only the leaf count. The tree
+computes them in one pass the first time a solver reads one, so only
+the first solve on a model prepares anything. In solve_fast, one walk
+of a filled subtree gives both its aggregate and its leaves, and
+failure number 0 is counted once, at the root, as the nodes not
+counted elsewhere. Ids appear only in the returned placement.
 """
 
 from __future__ import annotations
@@ -155,24 +156,19 @@ def select_heavy(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], beta: int
     return {i for _, i in keys[:beta]}
 
 
-def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int]) -> None:
+def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int], out: list[int]) -> None:
     """Count the filled subtrees, one replica on every leaf, into each
-    histogram by failure number: every node w in them loses all
-    leaf_count[w] replicas below it."""
+    histogram by failure number, and add their leaves to out: every
+    node w in them loses all leaf_count[w] replicas below it."""
     if not filled:  # most labeled nodes have no filled children
         return
-    leaf_count = tree.leaf_count
-    numbers = [leaf_count[w] for w in tree.walk(filled)]
+    leaf_count, capacity = tree.leaf_count, tree.capacity
+    below = tree.walk(filled)
+    out.extend([w for w in below if capacity[w]])
+    numbers = [leaf_count[w] for w in below]
     for hist in hists:
         for f in numbers:
             hist[f] += 1
-
-
-def _leaves_below(tree: Tree, filled: Sequence[int]) -> list[int]:
-    if not filled:
-        return []
-    capacity = tree.capacity
-    return [w for w in tree.walk(filled) if capacity[w]]
 
 
 def _check_rho(tree: Tree, rho: int) -> None:
@@ -352,16 +348,19 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     tree = model.tree
     _check_rho(tree, rho)
     top = tree.root
-    depth, node_count = tree.min_rel_depth, tree.node_count
+    depth = tree.min_rel_depth
     records = _divide(tree, rho)
 
     # Bottom-up pass. Per labeled node, hists holds the histogram by
     # failure number of its subtree's best aggregate at its mass
     # (light) and, when needed, at one replica more (heavy); both then
-    # have mass + 2 slots so that siblings compare slot for slot. picks
-    # holds the positions among its unfilled children that take the
-    # extra replicas, light and heavy.
+    # have mass + 2 slots so that siblings compare slot for slot. Slot 0
+    # stays 0 until the root: light and heavy count the same nodes, so
+    # two steps that agree above slot 0 agree at it too. picks holds
+    # the positions among its unfilled children that take the extra
+    # replicas, light and heavy; out collects the filled leaves.
     hists: dict[int, tuple[list[int], list[int] | None]] = {}
+    out: list[int] = []
     picks: dict[int, tuple[Collection[int], Collection[int]]] = {}
     for u, m, nh, remaining, beta, unf, filled in reversed(records):
         size = m + 2 if nh else m + 1
@@ -374,21 +373,18 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 heavy.extend([0] * (size - len(heavy)))
         elif remaining < len(unf):
             # Every unfilled child is empty: all its nodes sit at failure
-            # number 0 but the path to its shallowest leaf, which moves
-            # to 1 when the child takes an extra replica. That step is
-            # (path, -path), so the shallowest children are the
-            # cheapest, ties by position. No child is filled here: a
-            # filled child gives every unfilled child at least its
-            # capacity, so remaining >= len(unf).
+            # number 0, left to the root, but the path to its shallowest
+            # leaf, which moves to 1 when the child takes an extra
+            # replica. So the shallowest children are the cheapest, ties
+            # by position. No child is filled here: a filled child gives
+            # every unfilled child at least its capacity, so
+            # remaining >= len(unf).
             ds = list(map(depth.__getitem__, unf))
             picks[u] = light_sel, heavy_sel = _shallowest(ds, beta, nh)
-            nodes = node_count[u] - (u != top)
             light = [0] * size
             heavy = [0] * size if nh else None
             for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):
-                path = sum(map(ds.__getitem__, sel)) + len(sel)
-                hist[0] = nodes - path
-                hist[1] = path
+                hist[1] = sum(map(ds.__getitem__, sel)) + len(sel)
         else:
             kid_hists = [hists.pop(c) for c in unf]
             light = [0] * size
@@ -409,7 +405,7 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 if nh:
                     for f, v in enumerate(ch if i in heavy_sel else cl):
                         heavy[f] += v
-        _fill([light, heavy] if nh else [light], tree, filled)
+        _fill([light, heavy] if nh else [light], tree, filled, out)
         if u != top:
             light[m] += 1
             if nh:
@@ -419,10 +415,8 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # Witness, parents first: the heavy flag goes down to the only
     # non-empty unfilled child, or to the children picked for it; an
     # empty child picked contributes its shallowest leaf.
-    out: list[int] = []
     flagged: set[int] = set()
-    for u, _, _, remaining, _, unf, filled in records:
-        out.extend(_leaves_below(tree, filled))
+    for u, _, _, remaining, _, unf, _ in records:
         hv = u in flagged
         if len(unf) == 1 and remaining:
             if hv:
@@ -434,8 +428,9 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
         else:
             flagged.update(unf[i] for i in sel)
 
-    entries = tuple(reversed(hists[top][0]))
-    return FailureAggregate(entries=entries, rho=rho), _placement(tree, out)
+    root = hists[top][0]
+    root[0] = len(tree.ids) - sum(root)
+    return FailureAggregate(entries=tuple(reversed(root)), rho=rho), _placement(tree, out)
 
 
 def _leaves_by_id(tree: Tree) -> list[int]:

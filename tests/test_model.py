@@ -293,7 +293,7 @@ def some_leaves(model: FailureModel, start: int, stop: int) -> frozenset[str]:
     return frozenset([t.ids[u] for u, c in enumerate(t.capacity) if c][start:stop])
 
 
-SUMMARIES = ("leaf_count", "node_count", "min_rel_depth", "min_depth_leaf")
+SUMMARIES = ("leaf_count", "min_rel_depth", "min_depth_leaf")
 # Commands that never read the subtree summaries.
 NO_SUMMARIES = {
     "failure_aggregate": lambda m: failure_aggregate(m, Placement(some_leaves(m, 0, 3)), 3),
@@ -313,8 +313,10 @@ def test_subtree_summaries_wait_for_their_first_read(call, seed):
     tree = model.tree
     assert not vars(tree).keys() & set(SUMMARIES)
     summaries = tuple(getattr(tree, name) for name in SUMMARIES)
-    assert summaries == eager_summaries(tree)
+    leaf_count, node_count, depth, best = eager_summaries(tree)
+    assert summaries == (leaf_count, depth, best)
     assert vars(tree).keys() >= set(SUMMARIES)
+    assert subtree_stats(model).node_count == dict(zip(tree.ids, node_count))
     assert tree.leaf_total == tree.leaf_count[tree.root] == len(model.leaves)
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from collections import Counter
 
@@ -16,17 +15,16 @@ from fdplace.errors import (
 )
 from fdplace.generate import random_model
 from fdplace.metrics import multi_aggregate, signature_of_sizes
-from fdplace.model import parse_model, render_model
+from fdplace.model import FailureModel, parse_model, render_model
 from fdplace.multi import (
     MergeKernel,
     _signature_domain,
     build_phi,
-    enum_weak_compositions,
     solve_multi,
     target_signature,
 )
 from fdplace.oracle import oracle_multi
-from fdplace.single import solve_basic
+from fdplace.single import solve_basic, solve_fast
 
 from lemmas import band_cell_count, lex_cmp, sig_stats, sub_signature
 
@@ -53,40 +51,6 @@ def test_band_cell_count_matches_direct_enumeration():
     assert band_cell_count(2, 1) == 6
     assert band_cell_count(2, 2) == 7
     assert band_cell_count(2, 3) == 6
-
-
-def test_enum_weak_compositions_counts_and_sums():
-    for n in range(0, 7):
-        for k in range(1, 5):
-            seen = list(enum_weak_compositions(n, k))
-            assert len(seen) == math.comb(n + k - 1, k - 1), (n, k)
-            assert len(set(seen)) == len(seen)
-            for comp in seen:
-                assert len(comp) == k
-                assert sum(comp) == n
-                assert all(v >= 0 for v in comp)
-
-
-def test_enum_weak_compositions_adjacent_steps():
-    # Successive compositions move exactly one unit between two slots,
-    # which keeps downstream support rebuilding incremental.
-    for n, k in [(4, 3), (5, 4), (3, 5), (6, 2)]:
-        seen = list(enum_weak_compositions(n, k))
-        for prev, cur in zip(seen, seen[1:]):
-            deltas = [c - p for p, c in zip(prev, cur) if c != p]
-            assert sorted(deltas) == [-1, 1], (n, k, prev, cur)
-
-
-def test_enum_weak_compositions_edges():
-    assert list(enum_weak_compositions(0, 0)) == [()]
-    assert list(enum_weak_compositions(0, 3)) == [(0, 0, 0)]
-    assert list(enum_weak_compositions(5, 1)) == [(5,)]
-    with pytest.raises(ValueError):
-        list(enum_weak_compositions(2, 0))
-    with pytest.raises(ValueError):
-        list(enum_weak_compositions(-1, 2))
-    with pytest.raises(ValueError):
-        list(enum_weak_compositions(2, -1))
 
 
 def test_build_phi_validation():
@@ -288,6 +252,38 @@ def test_solve_multi_random_differential():
         assert multi_aggregate(model, witness).entries == got.entries
         assert sorted(len(b) for b in witness.blocks) == sorted(sizes)
         done += 1
+
+
+def test_solve_multi_with_ample_capacity_sums_single_blocks():
+    # When every leaf can hold a replica of each block, the blocks do
+    # not compete, and lexicographic order is compatible with addition:
+    # the optimum is the sum of each block's single-block optimum,
+    # padded at the front to the girth.
+    size_lists = [(4, 1, 1), (5, 2), (2, 2, 2, 2), (4, 4, 2), (3, 3, 2), (3, 1), (6, 4, 2, 2), (12, 1)]
+    rng = random.Random(22)
+    for trial in range(60):
+        sizes = size_lists[trial % len(size_lists)]
+        girth = max(sizes)
+        leaves = rng.randint(12, 300)
+        generated = random_model(
+            leaves, 2200 + trial, max_fanout=rng.randint(2, 12), roots=rng.randint(1, 3)
+        )
+        model = FailureModel(
+            nodes={
+                u: node._replace(capacity=rng.randint(len(sizes), len(sizes) + 1))
+                if node.capacity
+                else node
+                for u, node in generated.nodes.items()
+            }
+        )
+        single = {s: solve_fast(model, s)[0].entries for s in set(sizes)}
+        want = [0] * (girth + 1)
+        for s in sizes:
+            for f, v in enumerate((0,) * (girth - s) + single[s]):
+                want[f] += v
+        got, witness = solve_multi(model, sizes)
+        assert got.entries == tuple(want), (trial, leaves, sizes)
+        assert multi_aggregate(model, witness).entries == got.entries
 
 
 def test_signature_of_sizes_round_trip():

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import fdplace
-from fdplace.model import FailureModel, Node, postorder
+from fdplace.model import FailureModel, Node, Tree, postorder
 from fdplace.multi import MergeKernel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -143,10 +143,18 @@ def test_unknown_names_raise_attribute_error():
 def test_unused_accessors_are_gone():
     # Per-node facts are read as model.nodes[id], walks from given
     # starts go through Tree.walk, and each merge the kernel keeps
-    # carries its support.
+    # carries its support. No solver reads node counts (subtree_stats
+    # counts its own), solve_fast collects a filled subtree's leaves in
+    # the walk that counts it, and the census domain comes from
+    # itertools.
+    from fdplace import multi, single
+
     for name in ("is_leaf", "capacity", "parent", "node_ids"):
         assert not hasattr(FailureModel, name), name
     assert not hasattr(Node, "kind")
+    assert not hasattr(Tree, "node_count")
+    assert not hasattr(single, "_leaves_below")
+    assert not hasattr(multi, "enum_weak_compositions")
     assert list(inspect.signature(postorder).parameters) == ["model"]
     kernel = MergeKernel(2, 1, 8)
     for name in ("support", "merged", "_supports"):
