@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -51,6 +53,32 @@ def test_band_cell_count_matches_direct_enumeration():
     assert band_cell_count(2, 1) == 6
     assert band_cell_count(2, 2) == 7
     assert band_cell_count(2, 3) == 6
+
+
+def test_signature_domain_matches_direct_enumeration():
+    # Every census of m blocks whose support spans at most delta + 1
+    # adjacent classes, once each, grouped by leading class.
+    for m in range(1, 6):
+        for rho in range(0, 5):
+            for delta in range(0, rho + 1):
+                domain = _signature_domain(m, rho, delta)
+                direct = {
+                    vec
+                    for vec in product(range(m + 1), repeat=rho + 1)
+                    if sum(vec) == m and spread(vec) <= delta
+                }
+                assert len(domain) == len(set(domain)), (m, rho, delta)
+                assert set(domain) == direct, (m, rho, delta)
+                leads = [next(i for i, v in enumerate(vec) if v) for vec in domain]
+                assert leads == sorted(leads), (m, rho, delta)
+
+
+def test_signature_domain_edges():
+    assert _signature_domain(4, 0, 0) == [(4,)]
+    assert _signature_domain(1, 3, 2) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert _signature_domain(3, 2, 0) == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+    for m, rho in [(2, 3), (3, 4), (5, 2)]:
+        assert len(_signature_domain(m, rho, rho)) == math.comb(m + rho, rho), (m, rho)
 
 
 def test_build_phi_validation():
