@@ -212,7 +212,7 @@ def oracle_multi(
 class BalanceViolation(Value):
     __slots__ = ("node", "light_child", "heavy_child", "light_count", "heavy_count")
 
-    node: str
+    node: str | None  # None: the two children are roots of the forest
     light_child: str
     heavy_child: str
     light_count: int
@@ -221,13 +221,16 @@ class BalanceViolation(Value):
 
 def check_balanced(model: FailureModel, placement: Placement) -> list[BalanceViolation]:
     """Report sibling pairs where an unfilled child lags another child by
-    more than one replica. An empty list means the placement is balanced."""
+    more than one replica. An empty list means the placement is balanced.
+
+    The forest's roots are siblings too, children of the virtual root as
+    in the solvers; a violation between two roots has node None."""
     tree = model.tree
     # Failure numbers by node index; a node without one holds no replica.
     fn = _counts(tree, _leaf_indices(tree, placement.leaves))
     ids, leaf_count = tree.ids, tree.leaf_count
     violations: list[BalanceViolation] = []
-    for u, node_id in enumerate(ids):
+    for u, node_id in enumerate([*ids, None]):
         kids = tree.children(u)
         if len(kids) < 2:
             continue

@@ -12,9 +12,8 @@ from fdplace.model import (
     FailureModel,
     Node,
     Tree,
-    _bulk_entries,
-    _checked_entries,
     _compile,
+    _entries,
     parse_model,
     postorder,
     render_model,
@@ -403,6 +402,13 @@ PARENT_CYCLE = "model contains a parent cycle unreachable from any root"
         (make([leaf("a", capacity=1.5), {"parent": None}]), "capacity of 'a' must be an integer"),
         (make([leaf("a", capacity=-2), leaf("b", "b")]), "capacity of 'a' must be positive"),
         (make([leaf("a", "b", capacity=0), leaf("b")]), "capacity of 'a' must be positive"),
+        # Each branch of the combined id, parent and capacity tests: an
+        # explicit null capacity is no capacity, and within one entry the
+        # parent's faults come before the capacity's.
+        (make([leaf("z", capacity=None), leaf("s")]), "childless node 'z' has no capacity"),
+        (make([leaf("x", [], capacity=0)]), "parent of 'x' must be a string or null"),
+        (make([leaf("x", "x", capacity=True)]), "node 'x' is its own parent"),
+        (make([leaf(True)]), "node id must be a non-empty string, got True"),
     ],
 )
 def test_parse_error_messages_and_their_precedence(text, message):
@@ -411,10 +417,15 @@ def test_parse_error_messages_and_their_precedence(text, message):
     assert str(caught.value) == message
 
 
+def test_parse_accepts_null_capacity_inside_and_huge_capacity_on_leaves():
+    tree = parse_model(make([leaf("r", capacity=None), leaf("s", "r", capacity=10**30)])).tree
+    assert (tree.ids, tree.parent, tree.capacity) == (["r", "s"], [2, 0], [0, 10**30])
+
+
 def checked_parse(entries: list) -> Tree:
     """parse_model's checks one at a time: the per-entry loop, then the
     first unknown parent in file order, then the rest of _compile."""
-    ids, index, parents, capacity = _checked_entries(entries)
+    ids, index, parents, capacity = _entries({"nodes": entries})
     for u, p in enumerate(parents):
         if p is not None and p not in index:
             raise ModelError(f"node {ids[u]!r} has unknown parent {p!r}")
@@ -424,7 +435,7 @@ def checked_parse(entries: list) -> Tree:
 MUTANTS = (None, "", "x", "s1", "d1", 0, -1, 1, 2, 10**30, True, False, 1.5, "3", [], {})
 
 
-def test_bulk_entry_checks_never_accept_what_the_loop_refuses():
+def test_parse_model_matches_its_checks_made_one_at_a_time():
     rng = random.Random(2017)
     refused = 0
     for trial in range(400):
@@ -443,13 +454,6 @@ def test_bulk_entry_checks_never_accept_what_the_loop_refuses():
                 else:
                     ids = [e["id"] for e in entries if isinstance(e, dict) and "id" in e]
                     entries[k][field] = rng.choice(MUTANTS + tuple(ids))
-        bulk = _bulk_entries(entries)
-        try:
-            checked = _checked_entries(entries)
-        except ModelError:
-            assert bulk is None, entries
-        else:
-            assert bulk is None or bulk == checked, entries
         try:
             expected = checked_parse(entries)
         except ModelError as exc:

@@ -161,14 +161,16 @@ def test_check_balanced_ignores_filled_children(two_rows):
 
 def pairwise_violations(model, placement):
     # The definition itself: every ordered sibling pair, in child order.
+    # The forest's roots are siblings under None, after every real node.
     fn = failure_numbers(model, placement)
     stats = subtree_stats(model)
+    children = {**model.children, None: model.roots}
     return [
         (u, light, heavy, fn[light], fn[heavy])
-        for u in model.nodes
-        for light in model.children[u]
+        for u in children
+        for light in children[u]
         if fn[light] < stats.leaf_count[light]
-        for heavy in model.children[u]
+        for heavy in children[u]
         if fn[heavy] > fn[light] + 1
     ]
 
@@ -187,6 +189,43 @@ def test_check_balanced_matches_pairwise_definition():
         assert found == pairwise_violations(model, placement), trial
         flagged += bool(found)
     assert flagged >= 50, flagged
+
+
+def test_check_balanced_matches_pairwise_definition_on_forests():
+    rng = random.Random(37)
+    flagged = 0
+    for trial in range(150):
+        leaves = rng.randint(2, 40)
+        roots = rng.randint(2, min(leaves, 4))
+        model = random_model(leaves, 3700 + trial, max_fanout=6, roots=roots)
+        ids = sorted(model.leaves)
+        placement = Placement(leaves=frozenset(rng.sample(ids, rng.randint(0, len(ids)))))
+        found = [
+            (v.node, v.light_child, v.heavy_child, v.light_count, v.heavy_count)
+            for v in check_balanced(model, placement)
+        ]
+        assert found == pairwise_violations(model, placement), trial
+        flagged += any(v[0] is None for v in found)
+    assert flagged >= 30, flagged
+
+
+def test_check_balanced_compares_the_roots_of_a_forest():
+    # Two roots of 4 servers each, with all three replicas under A: A
+    # leads the empty B by 3. The aggregate is <1,0,3,6> against the
+    # optimum <0,1,4,5>.
+    nodes = [{"id": root, "parent": None} for root in "AB"]
+    for root in "AB":
+        nodes += [{"id": f"{root.lower()}{k}", "parent": root, "capacity": 1} for k in range(4)]
+    model = parse_model(json.dumps({"nodes": nodes}))
+    clustered = Placement(leaves=frozenset({"a0", "a1", "a2"}))
+    assert failure_aggregate(model, clustered, 3).entries == (1, 0, 3, 6)
+    assert oracle_single(model, 3)[0].entries == (0, 1, 4, 5)
+    violations = check_balanced(model, clustered)
+    assert [v.as_dict() for v in violations] == [
+        {"node": None, "light_child": "B", "heavy_child": "A", "light_count": 0, "heavy_count": 3}
+    ]
+    spread = Placement(leaves=frozenset({"a0", "a1", "b0"}))
+    assert check_balanced(model, spread) == []
 
 
 def test_check_balanced_on_wide_nodes():

@@ -177,3 +177,17 @@ def test_rank_selection_is_gone():
     for path in sorted((ROOT / "src" / "fdplace").glob("*.py")):
         text = path.read_text()
         assert not any(name in text for name in names), path.name
+
+
+def test_bulk_entry_checks_are_gone():
+    # parse_model checks the node entries in one loop: the whole-list
+    # pre-check and the loop it fell back on are deleted, and no source
+    # file names them.
+    from fdplace import model
+
+    names = ("_bulk_entries", "_checked_entries")
+    for name in names:
+        assert not hasattr(model, name), name
+    for path in sorted((ROOT / "src" / "fdplace").glob("*.py")):
+        text = path.read_text()
+        assert not any(name in text for name in names), path.name

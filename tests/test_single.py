@@ -784,6 +784,35 @@ def test_basic_matches_fast_on_deep_shapes():
             assert check_balanced(model, placement) == []
 
 
+def _shallow_shapes():
+    """A star of 2,000 servers, one root over 40 racks of 45-55 servers
+    and a two-root forest of the two, with capacities 1-3."""
+    star = [{"id": "st", "parent": None}]
+    star += [{"id": f"st{i}", "parent": "st", "capacity": 1 + i % 3} for i in range(2000)]
+    rng = random.Random(5)
+    racks = [{"id": "rk", "parent": None}]
+    for r in range(40):
+        racks.append({"id": f"rk{r}", "parent": "rk"})
+        racks += [
+            {"id": f"rk{r}s{k}", "parent": f"rk{r}", "capacity": rng.randint(1, 3)}
+            for k in range(rng.randint(45, 55))
+        ]
+    return [parse_model(json.dumps({"nodes": nodes})) for nodes in (star, racks, star + racks)]
+
+
+def test_solvers_agree_on_shallow_shapes():
+    # greedy re-ranks every free leaf per replica, so it runs only up to
+    # rho 64 here (about 0.25 s in all).
+    for model in _shallow_shapes():
+        for rho in (1, 3, 64, 1000):
+            agg, placement = solve_fast(model, rho)
+            assert solve_basic(model, rho) == (agg, placement), rho
+            if rho <= 64:
+                assert solve_greedy(model, rho)[0] == agg, rho
+            assert failure_aggregate(model, placement, rho) == agg
+            assert check_balanced(model, placement) == []
+
+
 def test_basic_keeps_one_short_histogram_per_state():
     # solve_basic keeps m + 1 slots per state asked for m replicas, and
     # drops a subtree's histograms once its parent has read them. Here
