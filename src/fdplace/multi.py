@@ -11,7 +11,8 @@ in the two child tables: the merge kernel enumerates the cell layouts
 with those margins once per pair, keeps the merged censuses inside the
 window that fit the target, and caches them for the rest of the solve.
 Aggregates are packed into single ints, so a candidate costs one
-addition and one comparison.
+addition and one comparison. A node's table leaves out its own census
+entry: its parent adds it once, and the virtual root has no parent.
 
 A census fits the target when, with both sorted largest first, each of
 its parts (the replicas it holds of one block) is at most the matching
@@ -77,7 +78,7 @@ class MergeKernel:
         self.total: list[int] = []
         self.fits: list[bool] = []
         # merge_rows[left][right]: the cached result of merges(left, right).
-        self.merge_rows: list[dict[int, list[tuple[int, int, Support]]]] = []
+        self.merge_rows: list[dict[int, list[tuple[int, Support]]]] = []
 
     def intern(self, vec: Vector) -> int:
         cid = self.ids.get(vec)
@@ -152,17 +153,17 @@ class MergeKernel:
         fill(0, first[0], rows[0][1])
         return out
 
-    def merges(self, left: int, right: int) -> list[tuple[int, int, Support]]:
-        """(merged id, packed(merged) - packed(left), support) for every
-        census in the window that fits the target and that left and
-        right merge into, where the support is the first, so smallest,
-        layout that gives it; cached in merge_rows."""
-        found: dict[int, tuple[int, int, Support]] = {}
+    def merges(self, left: int, right: int) -> list[tuple[int, Support]]:
+        """(merged id, support) for every census in the window that fits
+        the target and that left and right merge into, where the support
+        is the first, so smallest, layout that gives it; cached in
+        merge_rows."""
+        found: dict[int, tuple[int, Support]] = {}
         if not self.bound or self.total[left] + self.total[right] <= self.limit:
             for layout, sig in self.layouts(left, right):
                 sid = self.intern(sig)
                 if sid not in found and self.fits[sid]:
-                    found[sid] = (sid, self.packed[sid] - self.packed[left], layout)
+                    found[sid] = (sid, layout)
         out = self.merge_rows[left][right] = list(found.values())
         return out
 
@@ -272,19 +273,21 @@ def solve_multi(
     top, capacity = tree.root, tree.capacity
     target = signature_of_sizes(sizes)
 
-    # Every aggregate digit counts (node, block) pairs, the virtual
-    # root included, so m * (nodes + 1) bounds it.
-    kernel = MergeKernel(rho, delta, (m * (top + 1)).bit_length(), sizes)
+    # Every aggregate digit counts (node, block) pairs of real nodes, so
+    # m * nodes bounds it.
+    kernel = MergeKernel(rho, delta, (m * top).bit_length(), sizes)
     packed, merge_rows = kernel.packed, kernel.merge_rows
 
     # A table lists (census id, packed aggregate) in census order, so
     # that of equal candidates the smallest (left, right) wins. Equal
     # subtrees give equal tables, so merges are memoized on their inputs.
+    # A node's aggregate leaves out its own entry: its parent adds it to
+    # the first child's table before the fold and to each later child's
+    # in the merge.
     Table = tuple[tuple[int, int], ...]
     Pick = dict[int, tuple[int, int, Support]]
     tables: dict[int, Table] = {}
     picks: dict[tuple[int, int], Pick] = {}
-    leaf_tables: dict[int, Table] = {}
     memo: dict[tuple[Table, Table], tuple[Table, Pick]] = {}
 
     def merge_tables(left: Table, right: Table) -> tuple[Table, Pick]:
@@ -294,15 +297,15 @@ def solve_multi(
         best: dict[int, int] = {}
         best_get = best.get
         pick: Pick = {}
+        right_full = [(rid, rval + packed[rid]) for rid, rval in right]
         for lid, lval in left:
             row = merge_rows[lid]
-            for rid, rval in right:
+            for rid, rval in right_full:
                 outs = row.get(rid)
                 if outs is None:
                     outs = kernel.merges(lid, rid)
-                base = lval + rval
-                for sid, offset, layout in outs:
-                    cand = base + offset
+                cand = lval + rval
+                for sid, layout in outs:
                     cur = best_get(sid)
                     if cur is None or cand < cur:
                         best[sid] = cand
@@ -311,34 +314,27 @@ def solve_multi(
         done = memo[(left, right)] = (table, pick)
         return done
 
-    # The virtual root comes last and folds the roots like any node,
-    # adding one entry of its own per block, which the value then drops.
+    # leaf_tables[k]: the table of a leaf that holds up to k blocks, one
+    # replica each. No leaf holds more than m, nor more than its capacity.
+    ones = range(min(max(capacity), m) + 1)
+    rows = [(kernel.intern((0,) * (rho - 1) + (k, m - k)), 0) for k in ones]
+    leaf_tables = [tuple(rows[: k + 1]) for k in ones]
+
+    # The virtual root comes last and folds the roots like any node.
     for u in chain(tree.bottom_up, (top,)):
         kids = tree.children(u)
-        if kids:
-            acc = tuple((sid, val + packed[sid]) for sid, val in tables.pop(kids[0]))
-            for k in range(2, len(kids) + 1):
-                acc, picks[(u, k)] = merge_tables(acc, tables.pop(kids[k - 1]))
-            tables[u] = acc
+        if not kids:
+            tables[u] = leaf_tables[min(capacity[u], m)]
             continue
-        ones_max = min(capacity[u], m)
-        table = leaf_tables.get(ones_max)
-        if table is None:
-            rows = []
-            for ones in range(ones_max + 1):
-                entries = [0] * (rho + 1)
-                entries[rho - 1] += ones
-                entries[rho] += m - ones
-                sid = kernel.intern(tuple(entries))
-                rows.append((sid, packed[sid]))
-            table = leaf_tables[ones_max] = tuple(rows)
-        tables[u] = table
+        acc = tuple((sid, val + packed[sid]) for sid, val in tables.pop(kids[0]))
+        for k in range(2, len(kids) + 1):
+            acc, picks[(u, k)] = merge_tables(acc, tables.pop(kids[k - 1]))
+        tables[u] = acc
 
     target_id = kernel.ids.get(target.entries)
     value = dict(tables[top]).get(target_id)
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")
-    value -= packed[target_id]
 
     # Walk the decisions back down, handing each node the blocks it
     # fills. slots[c] lists, in order, the blocks that the node's partial

@@ -365,9 +365,11 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     for u, m, nh, remaining, beta, unf, filled in reversed(records):
         size = m + 2 if nh else m + 1
         if len(unf) == 1 and remaining:
-            # The only unfilled child takes every extra replica, so its
-            # lists are extended in place by the filled children's mass.
+            # The only unfilled child takes every extra replica, so it is
+            # picked exactly when the node is heavy, and its lists are
+            # extended in place by the filled children's mass.
             light, heavy = hists.pop(unf[0])
+            picks[u] = (), (0,)
             light.extend([0] * (size - len(light)))
             if nh:
                 heavy.extend([0] * (size - len(heavy)))
@@ -412,21 +414,16 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 heavy[m + 1] += 1
         hists[u] = (light, heavy)
 
-    # Witness, parents first: the heavy flag goes down to the only
-    # non-empty unfilled child, or to the children picked for it; an
-    # empty child picked contributes its shallowest leaf.
+    # Witness, parents first: the heavy flag goes down to the children
+    # picked for it; an empty child picked contributes its shallowest
+    # leaf.
     flagged: set[int] = set()
     for u, _, _, remaining, _, unf, _ in records:
-        hv = u in flagged
-        if len(unf) == 1 and remaining:
-            if hv:
-                flagged.add(unf[0])
-            continue
-        sel = picks[u][hv]
+        sel = picks[u][u in flagged]
         if remaining < len(unf):
             out.extend(tree.min_depth_leaf[unf[i]] for i in sel)
-        else:
-            flagged.update(unf[i] for i in sel)
+        elif sel:
+            flagged.update(map(unf.__getitem__, sel))
 
     root = hists[top][0]
     root[0] = len(tree.ids) - sum(root)
@@ -444,7 +441,11 @@ def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Place
     path has the smallest census: its failure numbers, sorted high to
     low, compared lexicographically (ties broken by smallest leaf id).
     Adding a leaf moves only its path up one failure number, so that
-    leaf gives the lexicographically smallest next aggregate."""
+    leaf gives the lexicographically smallest next aggregate. A node's
+    subtree holds its child's, so its failure number is never below the
+    child's: the census is the path read from the root down. Each
+    replica still reads every free leaf's path, O(rho * leaves * depth)
+    in all."""
     tree = model.tree
     _check_rho(tree, rho)
     up = tree.up
@@ -452,7 +453,7 @@ def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Place
     fn = [0] * len(tree.ids)
     chosen: list[int] = []
     for _ in range(rho):
-        leaf = min(free, key=lambda u: sorted([fn[v] for v in up(u)], reverse=True))
+        leaf = min(free, key=lambda u: [fn[v] for v in up(u)][::-1])
         free.remove(leaf)
         chosen.append(leaf)
         for v in up(leaf):

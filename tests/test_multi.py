@@ -252,6 +252,23 @@ def test_solve_multi_single_block_matches_basic(two_rows):
     assert len(block) == 3
 
 
+def test_solve_multi_digit_width_holds_its_largest_digit():
+    # One leaf holds all four blocks under a chain of three domains, so
+    # each of the four nodes counts four blocks at failure number 1: that
+    # digit reaches m * nodes = 16 = 2**4, which takes a fifth bit.
+    nodes = [
+        {"id": "a", "parent": None},
+        {"id": "b", "parent": "a"},
+        {"id": "c", "parent": "b"},
+        {"id": "s", "parent": "c", "capacity": 4},
+    ]
+    model = parse_model(json.dumps({"nodes": nodes}))
+    agg, witness = solve_multi(model, (1, 1, 1, 1))
+    assert agg.entries == (16, 0)
+    assert witness.blocks == (frozenset({"s"}),) * 4
+    assert multi_aggregate(model, witness).entries == agg.entries
+
+
 def test_solve_multi_random_differential():
     rng = random.Random(77)
     done = 0
@@ -344,13 +361,13 @@ def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
         for lvec in domain:
             for rvec in domain:
                 want = {
-                    (full.census[sid], offset, layout)
-                    for sid, offset, layout in full.merges(full.intern(lvec), full.intern(rvec))
+                    (full.census[sid], layout)
+                    for sid, layout in full.merges(full.intern(lvec), full.intern(rvec))
                     if fits(full.census[sid], sizes)
                 }
                 got = pruned.merges(pruned.intern(lvec), pruned.intern(rvec))
-                assert {(pruned.census[sid], offset, layout) for sid, offset, layout in got} == want
-                assert all(fits(pruned.census[sid], sizes) for sid, _, _ in got)
+                assert {(pruned.census[sid], layout) for sid, layout in got} == want
+                assert all(fits(pruned.census[sid], sizes) for sid, _ in got)
                 dropped += len(full.merge_rows[full.ids[lvec]][full.ids[rvec]]) - len(got)
     assert dropped > 0
 
@@ -373,7 +390,7 @@ def test_kernel_layouts_come_smallest_first():
                             smallest[sig] = min(smallest.get(sig, layout), layout)
                         supports = {
                             kernel.census[sid]: layout
-                            for sid, _, layout in kernel.merges(left, right)
+                            for sid, layout in kernel.merges(left, right)
                         }
                         assert supports == smallest, (m, rho, delta, left, right)
                         pairs += 1

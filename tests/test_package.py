@@ -162,7 +162,7 @@ def test_unused_accessors_are_gone():
     # One block holding one replica, merged with one holding none,
     # gives the left census back through a single cell.
     left, right = kernel.intern((0, 1, 0)), kernel.intern((0, 0, 1))
-    assert (left, 0, ((1, 2, 1),)) in kernel.merges(left, right)
+    assert (left, ((1, 2, 1),)) in kernel.merges(left, right)
 
 
 def test_rank_selection_is_gone():
