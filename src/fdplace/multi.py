@@ -8,8 +8,9 @@ solves in two passes.
 Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
 in the two child tables: the merge kernel enumerates the cell layouts
-with those margins once per pair, keeps the merged censuses inside the
-window that fit the target, and caches them for the rest of the solve.
+with those margins once per pair, cutting a partial layout once its
+merged classes span more than the window, keeps the merged censuses
+that fit the target, and caches them for the rest of the solve.
 Aggregates are packed into single ints, so a candidate costs one
 addition and one comparison. A node's table leaves out its own census
 entry: its parent adds it once, and the virtual root has no parent.
@@ -122,35 +123,56 @@ class MergeKernel:
         first = [sum(1 for j in cols if i + j < rho) for i, _ in rows]
         last = len(rows) - 1
         cells: list[tuple[int, int, int]] = []
+        # diag[c]: the blocks of merged class c that cells places.
+        diag = [0] * (rho + 1)
+        delta = self.delta
         out: list[tuple[Support, Vector]] = []
 
-        def fill(r: int, k: int, need: int) -> None:
-            # Place `need` more blocks of row r in cols[k:].
+        def fill(r: int, k: int, need: int, lo: int, hi: int) -> None:
+            # Place `need` more blocks of row r in cols[k:]. lo and hi are
+            # the lowest and highest merged classes of cells; a cell only
+            # widens that span, so a layout is cut once it exceeds delta.
             i = rows[r][0]
             if r == last:
                 # The last row takes whatever room is left: the pairing
                 # test above leaves none it cannot reach.
-                layout = tuple(cells) + tuple((i, j, room[j]) for j in cols[k:] if room[j])
-                diag = [0] * (rho + 1)
-                for a, b, v in layout:
-                    diag[a + b - rho] += v
-                nonzero = [c for c, v in enumerate(diag) if v]
-                if nonzero[-1] - nonzero[0] <= self.delta:
-                    out.append((layout, tuple(diag)))
+                rest = [(i, j, room[j]) for j in cols[k:] if room[j]]
+                low, high = i + rest[0][1] - rho, i + rest[-1][1] - rho
+                if (high if high > hi else hi) - (low if low < lo else lo) <= delta:
+                    merged = diag[:]
+                    for _, j, v in rest:
+                        merged[i + j - rho] += v
+                    out.append((tuple(cells) + tuple(rest), tuple(merged)))
                 return
             if need == 0:
-                fill(r + 1, first[r + 1], rows[r + 1][1])
+                fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi)
                 return
             for n in range(k, len(cols)):
                 j = cols[n]
+                c = i + j - rho
+                if c > hi:
+                    if c - lo > delta:
+                        # Later columns give higher classes still.
+                        break
+                    low, high = (c if c < lo else lo), c
+                elif c < lo:
+                    if hi - c > delta:
+                        continue
+                    low, high = c, hi
+                else:
+                    low, high = lo, hi
                 for v in range(1, min(need, room[j]) + 1):
                     room[j] -= v
+                    diag[c] += v
                     cells.append((i, j, v))
-                    fill(r, n + 1, need - v)
+                    fill(r, n + 1, need - v, low, high)
                     cells.pop()
+                    diag[c] -= v
                     room[j] += v
 
-        fill(0, first[0], rows[0][1])
+        # No cells yet: every class lies in [0, rho], so lo = rho and
+        # hi = 0 let the first cell set both.
+        fill(0, first[0], rows[0][1], rho, 0)
         return out
 
     def merges(self, left: int, right: int) -> list[tuple[int, Support]]:

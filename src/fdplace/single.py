@@ -20,14 +20,17 @@ numbers. A node with a single non-empty unfilled child extends that
 child's histograms in place by the filled children's mass, so a run of
 such nodes costs no more than its drop in mass. Any other node builds
 fresh histograms and picks the children that take the extra replicas,
-at its mass and at one replica more; ties go by position. Children
-left empty rank by the depth of their shallowest leaf (one replica
-there fails just that path), and one sum per histogram, the picked
-paths' length, prices them all. When the shallowest depth class holds
-enough children, the picks are its first positions; otherwise the
-children are counted per depth and the depths walked in order to the
-one to cut at (_shallowest). Other children rank by their step from
-light to heavy, by a sort (_cheapest).
+at its mass and at one replica more; ties go by position. A node
+with fewer replicas than children leaves every child empty, and then
+neither pass reads every child's summaries: the top-down pass labels
+it without their capacities, and the children rank by the depth of
+their shallowest leaf (one replica there fails just that path), whose
+minimum is the node's own summary. A scan stops at the k-th child at
+that depth, for the k picks, and one sum per histogram, the picked
+paths' length, prices them all. Only when fewer than k children sit
+there are all the depths read, counted per depth and walked in order
+to the one to cut at (_shallowest). Other children rank by their step
+from light to heavy, by a sort (_cheapest).
 
 The sorts keep the paper's O(n + rho log rho). A node whose children
 are sorted (_cheapest, and label_children's water level when some
@@ -35,8 +38,11 @@ child fills) gives every child a replica. Nodes with two or more such
 children branch inside the tree spanned by the rho placed leaves, so
 they sort at most 2 rho children in all. _shallowest sorts only
 distinct depths, and D of them need at least D(D+1)/2 nodes below
-that no other node's sort sees, so those sorts are O(n). solve_basic
-shares only label_children with solve_fast and picks with its own code
+that no other node's sort sees, so those sorts are O(n). A node left
+with empty children costs the scan to its k-th shallowest child, at
+most its fan-out, so the scans stay O(n); on a star they read O(rho)
+summary entries, not one per leaf. solve_basic shares only
+label_children with solve_fast and picks with its own code
 (select_heavy), so the two check one another. solve_greedy grows the
 placement one replica at a time, each on the leaf whose root path has
 the smallest failure numbers.
@@ -64,6 +70,7 @@ counted elsewhere. Ids appear only in the returned placement.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
+from itertools import compress, count, islice
 
 from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
@@ -278,13 +285,24 @@ def _divide(tree: Tree, rho: int) -> list[Record]:
     leaves' replicas, once, and hands each unfilled child its light
     mass and whether it must also be priced at one replica more: when
     its parent is, or when its parent moves extra replicas down. Returns
-    one record per labeled node, parents first."""
+    one record per labeled node, parents first.
+
+    A node with fewer replicas m than children fills none of them, as
+    each holds a leaf, and shares all m at base share 0, m of them
+    taking one more: its record is (u, m, need, m, m, children, []),
+    written without reading the children's capacities."""
     leaf_count = tree.leaf_count
     records: list[Record] = []
     pending: list[tuple[int, int, bool]] = [(tree.root, rho, False)]
     while pending:
         u, m, nh = pending.pop()
         kids = tree.children(u)
+        if m < len(kids):
+            # label_children's early return. Its checks, kept for
+            # solve_basic and the tests, cannot fail here: every child
+            # holds a leaf, and 1 <= m < len(kids) <= their leaves.
+            records.append((u, m, nh, m, m, kids, []))
+            continue
         caps = list(map(leaf_count.__getitem__, kids))
         filled, unfilled, remaining, beta = label_children(caps, m)
         unf = kids if len(unfilled) == len(kids) else [kids[i] for i in unfilled]
@@ -310,31 +328,27 @@ def _cheapest(keys: list, beta: int, heavy: bool) -> tuple[set[int], set[int]]:
 def _shallowest(ds: list[int], beta: int, heavy: bool) -> tuple[list[int], list[int]]:
     """Positions of the beta smallest depths and, when heavy, of the
     beta + 1 smallest, ties by position. At least one is picked: beta
-    >= 1 or heavy. When the shallowest depth covers them, they are its
-    first positions. Otherwise one pass counts the children per depth,
-    and the depths are walked in order to the one where the count
-    reaches k (cut); the picks are the positions shallower than cut,
-    then the first ones at cut. Either way the beta smallest are the
-    beta + 1 smallest but the last position taken at cut.
+    >= 1 or heavy. One pass counts the positions per depth, and the
+    depths are walked in order to the one where the count reaches k
+    (cut); the picks are the positions shallower than cut, then the
+    first ones at cut. So the beta smallest are the beta + 1 smallest
+    but the last position taken at cut.
 
-    Only the distinct depths are sorted. The empty children showing D
-    distinct shallowest-leaf depths hold at least 1 + 2 + ... + D nodes,
-    and no node below them is labeled, so these subtrees are disjoint
-    across calls and the sorts cost O(n) in all."""
+    solve_fast calls it only when the shallowest depth holds fewer than
+    k positions. Only the distinct depths are sorted. The empty children
+    showing D distinct shallowest-leaf depths hold at least
+    1 + 2 + ... + D nodes, and no node below them is labeled, so these
+    subtrees are disjoint across calls and the sorts cost O(n) in all."""
     k = beta + 1 if heavy else beta
-    cut = min(ds)
-    if ds.count(cut) >= k:
-        picked = []
-    else:
-        counts: dict[int, int] = {}
-        for d in ds:
-            counts[d] = counts.get(d, 0) + 1
-        upto = 0
-        for cut in sorted(counts):
-            upto += counts[cut]
-            if upto >= k:
-                break
-        picked = [i for i, d in enumerate(ds) if d < cut]
+    counts: dict[int, int] = {}
+    for d in ds:
+        counts[d] = counts.get(d, 0) + 1
+    upto = 0
+    for cut in sorted(counts):
+        upto += counts[cut]
+        if upto >= k:
+            break
+    picked = [i for i, d in enumerate(ds) if d < cut]
     i = -1
     while len(picked) < k:
         i = ds.index(cut, i + 1)
@@ -344,7 +358,10 @@ def _shallowest(ds: list[int], beta: int, heavy: bool) -> tuple[list[int], list[
 
 def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Near-linear solver: label each node once top down, then combine
-    failure-number histograms bottom up."""
+    failure-number histograms bottom up. A node with fewer replicas
+    than children costs the scan to its k-th shallowest child (k picks:
+    its heavy count, plus one when it is also priced heavy), not its
+    fan-out, unless fewer than k children share the shallowest depth."""
     tree = model.tree
     _check_rho(tree, rho)
     top = tree.root
@@ -378,15 +395,27 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # number 0, left to the root, but the path to its shallowest
             # leaf, which moves to 1 when the child takes an extra
             # replica. So the shallowest children are the cheapest, ties
-            # by position. No child is filled here: a filled child gives
-            # every unfilled child at least its capacity, so
-            # remaining >= len(unf).
-            ds = list(map(depth.__getitem__, unf))
-            picks[u] = light_sel, heavy_sel = _shallowest(ds, beta, nh)
+            # by position. _divide records this case, m < len(unf), with
+            # no child filled. The node's own summary gives the shallowest
+            # depth, and a scan stops at the k-th child there; only when
+            # fewer than k children sit at that depth are the depths
+            # read in full and ranked.
+            k = beta + 1 if nh else beta
+            cut = depth[u] - 1
+            sel = list(islice(compress(count(), map(cut.__eq__, map(depth.__getitem__, unf))), k))
+            if len(sel) == k:
+                steps = [cut + 1] * k
+                picks[u] = (sel[:-1], sel) if nh else (sel, [])
+            else:
+                ds = list(map(depth.__getitem__, unf))
+                picks[u] = _shallowest(ds, beta, nh)
+                steps = [ds[i] + 1 for i in picks[u][nh]]
             light = [0] * size
-            heavy = [0] * size if nh else None
-            for hist, sel in zip((light, heavy) if nh else (light,), (light_sel, heavy_sel)):
-                hist[1] = sum(map(ds.__getitem__, sel)) + len(sel)
+            light[1] = sum(steps[:beta])
+            heavy = None
+            if nh:
+                heavy = [0] * size
+                heavy[1] = sum(steps)
         else:
             kid_hists = [hists.pop(c) for c in unf]
             light = [0] * size

@@ -813,6 +813,90 @@ def test_solvers_agree_on_shallow_shapes():
             assert check_balanced(model, placement) == []
 
 
+def _late_shallow_shapes():
+    """Wide nodes whose shallowest children come last, capacities 1-3:
+    300 children, 290 racks of 1-2 servers before 10 servers of the
+    node's own (a short shallowest class); 300 children, 200 racks
+    before 100 servers (a long class that starts late); and one root
+    over three nodes of 140 racks before 10 servers, so that the root's
+    extra replica flags each wide node to be priced at one more."""
+    rng = random.Random(67)
+
+    def hub(name, parent, racks, direct):
+        nodes = [{"id": name, "parent": parent}]
+        for r in range(racks):
+            nodes.append({"id": f"{name}r{r}", "parent": name})
+            nodes += [
+                {"id": f"{name}r{r}s{k}", "parent": f"{name}r{r}", "capacity": rng.randint(1, 3)}
+                for k in range(rng.randint(1, 2))
+            ]
+        nodes += [{"id": f"{name}d{d}", "parent": name, "capacity": rng.randint(1, 3)} for d in range(direct)]
+        return nodes
+
+    split = [{"id": "top", "parent": None}]
+    for h in range(3):
+        split += hub(f"h{h}", "top", 140, 10)
+    shapes = (hub("short", None, 290, 10), hub("long", None, 200, 100), split)
+    return [parse_model(json.dumps({"nodes": nodes})) for nodes in shapes]
+
+
+def test_solvers_agree_on_late_shallow_shapes():
+    # Below the fan-out every child of the wide node stays empty. The
+    # short class covers rho <= 10 after a scan past the racks and is
+    # too short beyond that, so the picks rank every depth; the long
+    # class covers rho <= 100. In the split, rho = 3q + 1 gives each
+    # wide node q replicas and q + 1 when heavy: q + 1 = 10 fits the
+    # short class exactly, 11 and 22 do not. Above the fan-out every
+    # child takes a replica. The two-root forest of _shallow_shapes at
+    # rho 65 flags both roots heavy: a star and 40 racks, all at one
+    # depth.
+    short, long, split = _late_shallow_shapes()
+    forest = _shallow_shapes()[2]
+    cases = (
+        (short, (1, 10, 11, 64, 400)),
+        (long, (3, 64, 100, 101, 350)),
+        (split, (4, 28, 31, 64, 500)),
+        (forest, (65,)),
+    )
+    for model, rhos in cases:
+        for rho in rhos:
+            agg, placement = solve_fast(model, rho)
+            assert solve_basic(model, rho) == (agg, placement), rho
+            if rho <= 64:
+                assert solve_greedy(model, rho)[0] == agg, rho
+            assert failure_aggregate(model, placement, rho) == agg
+            assert check_balanced(model, placement) == []
+
+
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_fast_reads_summaries_in_proportion_to_rho_on_a_wide_star():
+    # A node with fewer replicas than children leaves them all empty;
+    # its own summary gives their shallowest depth and the picks stop
+    # at the rho-th child there, so the solve reads O(rho) summary
+    # entries, not one per child.
+    servers = 50_000
+    nodes = [{"id": "hub", "parent": None}]
+    nodes += [{"id": f"s{i}", "parent": "hub", "capacity": 1 + i % 3} for i in range(servers)]
+    model = parse_model(json.dumps({"nodes": nodes}))
+    tree = model.tree
+    for rho in (1, 3, 64):
+        tree.leaf_count = leaf_count = _CountingList(tree.leaf_count)
+        tree.min_rel_depth = depth = _CountingList(tree.min_rel_depth)
+        agg, placement = solve_fast(model, rho)
+        assert leaf_count.reads + depth.reads <= 2 * (rho + 1), rho
+        assert placement.leaves == {f"s{i}" for i in range(rho)}
+        assert failure_aggregate(model, placement, rho) == agg
+
+
 def test_basic_keeps_one_short_histogram_per_state():
     # solve_basic keeps m + 1 slots per state asked for m replicas, and
     # drops a subtree's histograms once its parent has read them. Here
