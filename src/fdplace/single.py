@@ -22,13 +22,17 @@ such nodes costs no more than its drop in mass. Any other node builds
 fresh histograms and picks the children that take the extra replicas,
 at its mass and at one replica more; ties go by position. A node
 with fewer replicas than children leaves every child empty, and then
-neither pass reads every child's summaries: the top-down pass labels
-it without their capacities, and the children rank by the depth of
+neither pass copies its child list: the top-down pass records the
+node's offsets into the tree's child array instead, without reading
+the children's capacities, and the children rank by the depth of
 their shallowest leaf (one replica there fails just that path), whose
-minimum is the node's own summary. A scan stops at the k-th child at
-that depth, for the k picks, and one sum per histogram, the picked
-paths' length, prices them all. Only when fewer than k children sit
-there are all the depths read, counted per depth and walked in order
+minimum is the node's own summary. The bottom-up pass reads the
+children's depths into one list in chunks, the first of k children
+for the k picks (all of them when there are at most 2k) and each
+later one as long as the list, until k children sit at that minimum;
+one sum per histogram, the picked paths' length, prices them all.
+Only when fewer than k children sit there is the list read to the
+end, each depth once, and then counted per depth and walked in order
 to the one to cut at (_shallowest). Other children rank by their step
 from light to heavy, by a sort (_cheapest).
 
@@ -39,9 +43,10 @@ children branch inside the tree spanned by the rho placed leaves, so
 they sort at most 2 rho children in all. _shallowest sorts only
 distinct depths, and D of them need at least D(D+1)/2 nodes below
 that no other node's sort sees, so those sorts are O(n). A node left
-with empty children costs the scan to its k-th shallowest child, at
-most its fan-out, so the scans stay O(n); on a star they read O(rho)
-summary entries, not one per leaf. solve_basic shares only
+with empty children reads at most twice the prefix of its children
+that ends at its k-th shallowest one, and at most its fan-out; no node
+below it is labeled, so these reads stay O(n). On a star they read
+O(rho) child and summary entries, not one per leaf. solve_basic shares only
 label_children with solve_fast and picks with its own code
 (select_heavy), so the two check one another. solve_greedy grows the
 placement one replica at a time, each on the leaf whose root path has
@@ -70,8 +75,6 @@ counted elsewhere. Ids appear only in the returned placement.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
-from itertools import compress, count, islice
-
 from .errors import InfeasibleError, ModelError
 from .metrics import FailureAggregate, Placement
 # postorder is not called here, but bench/tracer.py wraps this binding.
@@ -167,8 +170,6 @@ def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int], out: li
     """Count the filled subtrees, one replica on every leaf, into each
     histogram by failure number, and add their leaves to out: every
     node w in them loses all leaf_count[w] replicas below it."""
-    if not filled:  # most labeled nodes have no filled children
-        return
     leaf_count, capacity = tree.leaf_count, tree.capacity
     below = tree.walk(filled)
     out.extend([w for w in below if capacity[w]])
@@ -276,7 +277,9 @@ def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placem
 # A labeled node: (node, mass, need, remaining, heavy_count, unfilled
 # children, filled children), the middle two as label_children returns
 # them. need is set when the node is also priced at one replica more.
-Record = tuple[int, int, bool, int, int, list[int], list[int]]
+# A node with fewer replicas than children gives its unfilled children
+# as their positions in tree.kids, a range, and no filled ones.
+Record = tuple[int, int, bool, int, int, Sequence[int], list[int]]
 
 
 def _divide(tree: Tree, rho: int) -> list[Record]:
@@ -289,24 +292,25 @@ def _divide(tree: Tree, rho: int) -> list[Record]:
 
     A node with fewer replicas m than children fills none of them, as
     each holds a leaf, and shares all m at base share 0, m of them
-    taking one more: its record is (u, m, need, m, m, children, []),
-    written without reading the children's capacities."""
-    leaf_count = tree.leaf_count
+    taking one more: its record is (u, m, need, m, m, range(first[u],
+    first[u + 1]), []), its children's offsets in tree.kids, written
+    without reading or copying the children."""
+    first, kids, leaf_count = tree.first, tree.kids, tree.leaf_count
     records: list[Record] = []
     pending: list[tuple[int, int, bool]] = [(tree.root, rho, False)]
     while pending:
         u, m, nh = pending.pop()
-        kids = tree.children(u)
-        if m < len(kids):
+        a, b = first[u], first[u + 1]
+        if m < b - a:
             # label_children's early return. Its checks, kept for
             # solve_basic and the tests, cannot fail here: every child
-            # holds a leaf, and 1 <= m < len(kids) <= their leaves.
-            records.append((u, m, nh, m, m, kids, []))
+            # holds a leaf, and 1 <= m < b - a <= their leaves.
+            records.append((u, m, nh, m, m, range(a, b), []))
             continue
-        caps = list(map(leaf_count.__getitem__, kids))
-        filled, unfilled, remaining, beta = label_children(caps, m)
-        unf = kids if len(unfilled) == len(kids) else [kids[i] for i in unfilled]
-        records.append((u, m, nh, remaining, beta, unf, [kids[i] for i in filled]))
+        children = kids[a:b]
+        filled, unfilled, remaining, beta = label_children(list(map(leaf_count.__getitem__, children)), m)
+        unf = children if len(unfilled) == b - a else [children[i] for i in unfilled]
+        records.append((u, m, nh, remaining, beta, unf, [children[i] for i in filled]))
         # Unfilled children that stay empty are priced in closed form by
         # the bottom-up pass. The others have more leaves than their
         # share, so they have children to label.
@@ -359,12 +363,12 @@ def _shallowest(ds: list[int], beta: int, heavy: bool) -> tuple[list[int], list[
 def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
     """Near-linear solver: label each node once top down, then combine
     failure-number histograms bottom up. A node with fewer replicas
-    than children costs the scan to its k-th shallowest child (k picks:
-    its heavy count, plus one when it is also priced heavy), not its
-    fan-out, unless fewer than k children share the shallowest depth."""
+    than children reads at most twice the prefix of its children that
+    ends at its k-th shallowest one (k picks: its heavy count, plus one
+    when it is also priced heavy), each child's depth at most once."""
     tree = model.tree
     _check_rho(tree, rho)
-    top = tree.root
+    top, kids = tree.root, tree.kids
     depth = tree.min_rel_depth
     records = _divide(tree, rho)
 
@@ -396,18 +400,30 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
             # leaf, which moves to 1 when the child takes an extra
             # replica. So the shallowest children are the cheapest, ties
             # by position. _divide records this case, m < len(unf), with
-            # no child filled. The node's own summary gives the shallowest
-            # depth, and a scan stops at the k-th child there; only when
-            # fewer than k children sit at that depth are the depths
-            # read in full and ranked.
+            # the children as a range of positions in tree.kids and none
+            # filled. The node's own summary gives the shallowest depth,
+            # cut. The depths are read in chunks, first k children (all
+            # of them when there are at most 2k), then as many more as
+            # have been read, until k sit at cut: at most twice the
+            # prefix that ends at the k-th. When fewer than k sit at cut,
+            # every depth has been read, once, and they are ranked.
             k = beta + 1 if nh else beta
             cut = depth[u] - 1
-            sel = list(islice(compress(count(), map(cut.__eq__, map(depth.__getitem__, unf))), k))
-            if len(sel) == k:
+            a, b = unf.start, unf.stop
+            ds = list(map(depth.__getitem__, kids[a : b if b - a <= 2 * k else a + k]))
+            hits = ds.count(cut)
+            while hits < k and a + len(ds) < b:
+                more = list(map(depth.__getitem__, kids[a + len(ds) : min(b, a + 2 * len(ds))]))
+                hits += more.count(cut)
+                ds += more
+            if hits >= k:
+                sel, i = [], -1
+                while len(sel) < k:
+                    i = ds.index(cut, i + 1)
+                    sel.append(i)
                 steps = [cut + 1] * k
                 picks[u] = (sel[:-1], sel) if nh else (sel, [])
             else:
-                ds = list(map(depth.__getitem__, unf))
                 picks[u] = _shallowest(ds, beta, nh)
                 steps = [ds[i] + 1 for i in picks[u][nh]]
             light = [0] * size
@@ -436,7 +452,8 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
                 if nh:
                     for f, v in enumerate(ch if i in heavy_sel else cl):
                         heavy[f] += v
-        _fill([light, heavy] if nh else [light], tree, filled, out)
+        if filled:
+            _fill([light, heavy] if nh else [light], tree, filled, out)
         if u != top:
             light[m] += 1
             if nh:
@@ -447,10 +464,11 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     # picked for it; an empty child picked contributes its shallowest
     # leaf.
     flagged: set[int] = set()
+    best = tree.min_depth_leaf
     for u, _, _, remaining, _, unf, _ in records:
         sel = picks[u][u in flagged]
         if remaining < len(unf):
-            out.extend(tree.min_depth_leaf[unf[i]] for i in sel)
+            out.extend(map(best.__getitem__, map(kids.__getitem__, map(unf.__getitem__, sel))))
         elif sel:
             flagged.update(map(unf.__getitem__, sel))
 

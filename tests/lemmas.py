@@ -2,7 +2,8 @@
 
 Failure numbers, path aggregates and their shift, sub-signatures,
 the signature statistics, the lexicographic comparison and the band
-cell count come straight from the paper's proofs. No solver calls them, so they live here, next to the tests
+cell count come straight from the paper's proofs; sizes_fit is the
+Gale-Ryser test of whether blocks fit the leaves at all. No solver calls them, so they live here, next to the tests
 that check the paper's identities against the solvers, and not in the
 package. Test modules import them the way they import conftest's
 helpers, `from lemmas import ...`; pytest collects only test_*.py, so
@@ -143,3 +144,15 @@ def band_cell_count(delta: int, d: int) -> int:
         return t * (t + 1) // 2
 
     return (delta + 1) ** 2 - tri(d - 1) - tri(delta + 1 - d)
+
+
+def sizes_fit(capacities: list[int] | tuple[int, ...], sizes: list[int] | tuple[int, ...]) -> bool:
+    """Whether blocks of the given sizes fit leaves of the given
+    capacities: each block on distinct leaves, each leaf in at most its
+    capacity of blocks. By the Gale-Ryser theorem they fit exactly when,
+    for every k, the k largest sizes sum to at most the sum over leaves
+    of min(capacity, k), as no leaf joins more than k of any k blocks."""
+    ordered = sorted(sizes, reverse=True)
+    return all(
+        sum(ordered[:k]) <= sum(min(c, k) for c in capacities) for k in range(1, len(ordered) + 1)
+    )

@@ -1,8 +1,10 @@
-"""Generated documents and command lines.
+"""Generated documents, command lines and forests.
 
 The parsers may refuse a document only with ModelError, and every CLI
 command on generated model, placement and block files must end in one
-of the defined exit codes. The runs are derandomized and bounded so
+of the defined exit codes. On generated forests with wide nodes, the
+solvers must agree with one another, with the oracles and with the
+Gale-Ryser feasibility test. The runs are derandomized and bounded so
 that they stay a few seconds of the tier-1 suite.
 """
 
@@ -22,9 +24,19 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fdplace.cli import main  # noqa: E402
-from fdplace.errors import ModelError  # noqa: E402
-from fdplace.metrics import parse_multi_placement, parse_placement  # noqa: E402
+from fdplace.errors import GuardLimitError, InfeasibleError, ModelError  # noqa: E402
+from fdplace.metrics import (  # noqa: E402
+    failure_aggregate,
+    multi_aggregate,
+    parse_multi_placement,
+    parse_placement,
+)
 from fdplace.model import parse_model  # noqa: E402
+from fdplace.multi import solve_multi  # noqa: E402
+from fdplace.oracle import check_balanced, oracle_multi, oracle_single  # noqa: E402
+from fdplace.single import solve_basic, solve_fast, solve_greedy  # noqa: E402
+
+from lemmas import sizes_fit  # noqa: E402
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -46,19 +58,24 @@ ANY_JSON = st.recursive(
 )
 
 
-@st.composite
-def forests(draw):
-    """A valid model: node i hangs below an earlier node or is a root,
-    and exactly the childless nodes carry a capacity of 1 to 3."""
-    n = draw(st.integers(1, 7))
-    parents = [None] + [draw(st.none() | st.integers(0, i - 1)) for i in range(1, n)]
+def _nodes(draw, parents):
+    """Node entries n0, n1, ... below the given parent positions (None
+    for a root); exactly the childless nodes carry a capacity of 1 to 3."""
     nodes = []
     for i, parent in enumerate(parents):
         entry = {"id": f"n{i}", "parent": None if parent is None else f"n{parent}"}
         if i not in parents:
             entry["capacity"] = draw(st.integers(1, 3))
         nodes.append(entry)
-    return {"nodes": nodes}
+    return nodes
+
+
+@st.composite
+def forests(draw):
+    """A valid model: node i hangs below an earlier node or is a root."""
+    n = draw(st.integers(1, 7))
+    parents = [None] + [draw(st.none() | st.integers(0, i - 1)) for i in range(1, n)]
+    return {"nodes": _nodes(draw, parents)}
 
 
 NODE_ENTRIES = st.one_of(
@@ -171,3 +188,67 @@ def test_cli_exits_with_a_defined_code(
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 2, 3, 4), argv
+
+
+# Where the next node of a wide forest hangs, relative to the node before
+# it; "beside" is the most common, so that fan-outs reach about 40.
+MOVES = st.sampled_from(["below", "beside", "beside", "beside", "beside", "up", "earlier", "root"])
+
+
+@st.composite
+def wide_forests(draw):
+    """A valid model of up to 60 nodes in file order. Each node hangs
+    below the node before it, beside it (the same parent), below that
+    node's grandparent, below any earlier node, or starts a new root.
+    Runs of "beside" make wide nodes; "below" then "up" hangs a rack
+    under a node, so a wide node's racks can come before its own
+    servers."""
+    n = draw(st.integers(1, 60))
+    parents: list[int | None] = [None]
+    for i in range(1, n):
+        move, prev = draw(MOVES), parents[i - 1]
+        if move == "below":
+            parents.append(i - 1)
+        elif move == "beside":
+            parents.append(prev)
+        elif move == "up":
+            parents.append(None if prev is None else parents[prev])
+        elif move == "earlier":
+            parents.append(draw(st.integers(0, i - 1)))
+        else:
+            parents.append(None)
+    return parse_model(json.dumps({"nodes": _nodes(draw, parents)}))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    model=wide_forests(),
+    pick=st.integers(1, 4) | st.integers(1, 60),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+def test_solvers_agree_on_wide_forests(model, pick, sizes):
+    rho = min(pick, model.tree.leaf_total)
+    agg, placement = solve_fast(model, rho)
+    assert solve_basic(model, rho) == (agg, placement)
+    assert solve_greedy(model, rho)[0] == agg
+    assert failure_aggregate(model, placement, rho) == agg
+    assert check_balanced(model, placement) == []
+    try:
+        best, optima = oracle_single(model, rho, guard=20_000)
+    except GuardLimitError:
+        pass
+    else:
+        assert best == agg and placement in optima
+
+    capacities = [c for c in model.tree.capacity if c]
+    try:
+        multi, blocks = solve_multi(model, sizes)
+    except InfeasibleError:
+        assert not sizes_fit(capacities, sizes)
+        return
+    assert sizes_fit(capacities, sizes)
+    assert multi_aggregate(model, blocks) == multi
+    try:
+        assert oracle_multi(model, sizes, guard=20_000)[0] == multi
+    except GuardLimitError:
+        pass

@@ -28,7 +28,7 @@ from fdplace.multi import (
 from fdplace.oracle import oracle_multi
 from fdplace.single import solve_basic, solve_fast
 
-from lemmas import band_cell_count, lex_cmp, sig_stats, sub_signature
+from lemmas import band_cell_count, lex_cmp, sig_stats, sizes_fit, sub_signature
 
 
 def test_band_cell_count_validation():
@@ -228,6 +228,46 @@ def test_solve_multi_infeasible_cases(shared_tree):
     # past its capacity; totals alone do not reveal that.
     with pytest.raises(InfeasibleError):
         solve_multi(model, (2, 2))
+
+
+def test_sizes_fit_on_small_cases():
+    assert sizes_fit([3, 1], (2, 1, 1))
+    assert not sizes_fit([3, 1], (2, 2))  # the refusal above
+    assert not sizes_fit([1, 1], (3,))
+    assert sizes_fit([2, 2, 1], (3, 2))
+    assert not sizes_fit([2, 2, 1], (3, 3))
+
+
+def test_solve_multi_refuses_exactly_what_gale_ryser_refuses():
+    # Small forests with capacities up to 5 and blocks up to the leaf
+    # count: some requests pass the totals test of the size and capacity
+    # sums and are still refused, as the blocks would reuse a leaf past
+    # its capacity. Every refusal and every acceptance must agree with
+    # the Gale-Ryser test.
+    rng = random.Random(3)
+    counts = Counter()
+    for trial in range(250):
+        leaves = rng.randint(2, 7)
+        model = random_model(
+            leaves,
+            70_000 + trial,
+            max_fanout=4,
+            max_capacity=rng.randint(1, 5),
+            roots=rng.randint(1, min(3, leaves)),
+        )
+        capacities = [c for c in model.tree.capacity if c]
+        for _ in range(5):
+            sizes = tuple(rng.randint(1, leaves) for _ in range(rng.randint(1, 4)))
+            totals_pass = max(sizes) <= leaves and sum(sizes) <= sum(capacities)
+            try:
+                solve_multi(model, sizes)
+            except InfeasibleError:
+                assert not sizes_fit(capacities, sizes), (trial, sizes)
+                counts["refused past the totals" if totals_pass else "refused by the totals"] += 1
+            else:
+                assert sizes_fit(capacities, sizes), (trial, sizes)
+                counts["solved"] += 1
+    assert min(counts.values()) >= 20 and len(counts) == 3, counts
 
 
 def test_solve_multi_child_permutation_invariance(shared_tree):

@@ -869,20 +869,25 @@ def test_solvers_agree_on_late_shallow_shapes():
 
 
 class _CountingList(list):
-    """A list that counts its item reads."""
+    """A list that counts the items it returns, a slice's items
+    included."""
 
     reads = 0
 
     def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
+        item = super().__getitem__(i)
+        self.reads += len(item) if isinstance(i, slice) else 1
+        return item
 
 
 def test_fast_reads_summaries_in_proportion_to_rho_on_a_wide_star():
     # A node with fewer replicas than children leaves them all empty;
     # its own summary gives their shallowest depth and the picks stop
     # at the rho-th child there, so the solve reads O(rho) summary
-    # entries, not one per child.
+    # entries, not one per child. The node is recorded by its offsets
+    # into tree.kids, not by a copy of its children, so the solve reads
+    # the root's one child, the hub's first rho children and, for the
+    # witness, those rho again.
     servers = 50_000
     nodes = [{"id": "hub", "parent": None}]
     nodes += [{"id": f"s{i}", "parent": "hub", "capacity": 1 + i % 3} for i in range(servers)]
@@ -891,10 +896,71 @@ def test_fast_reads_summaries_in_proportion_to_rho_on_a_wide_star():
     for rho in (1, 3, 64):
         tree.leaf_count = leaf_count = _CountingList(tree.leaf_count)
         tree.min_rel_depth = depth = _CountingList(tree.min_rel_depth)
+        tree.kids = kids = _CountingList(tree.kids)
         agg, placement = solve_fast(model, rho)
         assert leaf_count.reads + depth.reads <= 2 * (rho + 1), rho
+        assert kids.reads <= 2 * rho + 1, (rho, kids.reads)
         assert placement.leaves == {f"s{i}" for i in range(rho)}
         assert failure_aggregate(model, placement, rho) == agg
+
+
+def test_fast_reads_a_late_shallow_class_in_one_pass():
+    # The hub's 10 servers are too few for 64 picks, so every child's
+    # depth is read, but once: the depths read while looking for the
+    # picks are the ones ranked.
+    racks, direct, rho = 29_990, 10, 64
+    nodes = [{"id": "hub", "parent": None}]
+    for r in range(racks):
+        nodes += [{"id": f"r{r}", "parent": "hub"}, {"id": f"r{r}s", "parent": f"r{r}", "capacity": 1 + r % 3}]
+    nodes += [{"id": f"d{d}", "parent": "hub", "capacity": 1} for d in range(direct)]
+    model = parse_model(json.dumps({"nodes": nodes}))
+    tree = model.tree
+    tree.kids = kids = _CountingList(tree.kids)
+    tree.min_rel_depth = depth = _CountingList(tree.min_rel_depth)
+    agg, placement = solve_fast(model, rho)
+    fanout = racks + direct
+    assert depth.reads <= fanout + 1, depth.reads
+    assert kids.reads <= fanout + rho + 1, kids.reads
+    assert {f"d{d}" for d in range(direct)} <= placement.leaves
+    assert failure_aggregate(model, placement, rho) == agg
+
+
+def _neighbour_hubs():
+    """Two wide hubs whose children sit next to each other in tree.kids,
+    under one root and as a two-root forest. Hub a ends in a short class
+    of 3 servers after 30 racks; hub b starts with 4 servers, so a scan
+    that ran past a's last child would find shallow children that are
+    not a's. The racks' own servers follow b's children."""
+    rng = random.Random(29)
+
+    def children(hub, racks_first):
+        racks = []
+        for r in range(30):
+            racks.append({"id": f"{hub}r{r}", "parent": hub})
+            racks += [
+                {"id": f"{hub}r{r}s{k}", "parent": f"{hub}r{r}", "capacity": rng.randint(1, 3)}
+                for k in range(rng.randint(1, 2))
+            ]
+        direct = [{"id": f"{hub}d{d}", "parent": hub, "capacity": rng.randint(1, 3)} for d in range(3 if racks_first else 4)]
+        return racks + direct if racks_first else direct + racks
+
+    below = children("a", True) + children("b", False)
+    tree = [{"id": "top", "parent": None}, {"id": "a", "parent": "top"}, {"id": "b", "parent": "top"}] + below
+    forest = [{"id": "a", "parent": None}, {"id": "b", "parent": None}] + below
+    return [parse_model(json.dumps({"nodes": nodes})) for nodes in (tree, forest)]
+
+
+def test_fast_keeps_each_wide_node_to_its_own_children():
+    # Up to rho 61 each hub holds fewer replicas than its 33 or 34
+    # children, so all stay empty; hub a's 3 servers cover at most 3
+    # picks, and beyond that its picks rank every depth.
+    for model in _neighbour_hubs():
+        assert model.tree.index["b"] == model.tree.index["a"] + 1
+        for rho in (1, 2, 3, 5, 6, 7, 8, 9, 13, 30, 41, 61):
+            agg, placement = solve_fast(model, rho)
+            assert solve_basic(model, rho) == (agg, placement), rho
+            assert failure_aggregate(model, placement, rho) == agg
+            assert check_balanced(model, placement) == [], rho
 
 
 def test_basic_keeps_one_short_histogram_per_state():
