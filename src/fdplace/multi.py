@@ -12,8 +12,10 @@ with those margins once per pair, cutting a partial layout once its
 merged classes span more than the window, keeps the merged censuses
 that fit the target, and caches them for the rest of the solve.
 Aggregates are packed into single ints, so a candidate costs one
-addition and one comparison. A node's table leaves out its own census
+addition and one comparison. A merge keeps only the least value of
+each census, no choice. A node's table leaves out its own census
 entry: its parent adds it once, and the virtual root has no parent.
+Tables are interned, and merges memoized on the two table ids.
 
 A census fits the target when, with both sorted largest first, each of
 its parts (the replicas it holds of one block) is at most the matching
@@ -21,14 +23,17 @@ requested size. A merge pairs parts one to one and only adds to them,
 so an ancestor's sorted parts dominate its descendants': a census that
 does not fit never grows into the target, and every census that fits
 is made only of censuses that fit. Dropping the rest therefore changes
-no kept value and no recorded choice.
+no kept value and no recovered choice.
 
-Down, one walk follows the recorded choices from the root and hands
-each child the block slots it fills, by size class; each leaf joins
-the blocks in its one-replica class. Each choice carries the cell
-layout the walk splits by: the first, so smallest, layout that gives
-the merged census (its support), which the kernel keeps in the merge
-it returns, so the walk asks the kernel nothing.
+Down, one walk from the root hands each child the block slots it
+fills, by size class; each leaf joins the blocks in its one-replica
+class. It enters no subtree whose census is the empty one, so it
+visits only the root paths of the witness's leaves. At each node it
+folds the children's tables again, every merge a memo hit, and
+recovers each choice: the first (left, right) pair, in the merge's
+scan order, that gives the census its least value. It splits by that
+pair's support, the first, so smallest, layout that gives the census,
+which the kernel's cached merge holds, so recovery enumerates nothing.
 
 build_phi tabulates the same kernel, without a target, over every
 census pair, for checking it against brute force.
@@ -36,7 +41,7 @@ census pair, for checking it against brute force.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import chain, combinations_with_replacement
 
 from .errors import InfeasibleError, SkewOverrideError
@@ -238,16 +243,28 @@ def _natural_skew(sizes: tuple[int, ...]) -> int:
 
 
 def _check_fit(tree: Tree, sizes: tuple[int, ...]) -> None:
-    """Refuse a block above the leaf count, then replicas above capacity."""
+    """Refuse a block above the leaf count, then a request that fails
+    the Gale-Ryser test: a leaf holds at most one replica of a block, so
+    for every k the k largest blocks need at most the sum over leaves
+    of min(capacity, k) replicas."""
     if max(sizes) > tree.leaf_total:
         raise InfeasibleError(
             f"block size {max(sizes)} exceeds the {tree.leaf_total} available leaves"
         )
-    total_capacity = sum(tree.capacity)
-    if sum(sizes) > total_capacity:
-        raise InfeasibleError(
-            f"total replicas {sum(sizes)} exceed total capacity {total_capacity}"
-        )
+    # ample: the leaves of capacity k or more, so that room grows by
+    # ample from the sum for k - 1 to the sum for k.
+    counts = Counter(tree.capacity)
+    need = room = 0
+    ample = tree.leaf_total
+    for k, size in enumerate(sorted(sizes, reverse=True), 1):
+        need += size
+        room += ample
+        if need > room:
+            raise InfeasibleError(
+                f"the {k} largest blocks need {need} replicas, but at one replica"
+                f" of a block per leaf the leaves hold at most {room}"
+            )
+        ample -= counts[k]
 
 
 def target_signature(sizes: list[int] | tuple[int, ...]) -> tuple[Signature, int]:
@@ -301,84 +318,110 @@ def solve_multi(
     packed, merge_rows = kernel.packed, kernel.merge_rows
 
     # A table lists (census id, packed aggregate) in census order, so
-    # that of equal candidates the smallest (left, right) wins. Equal
-    # subtrees give equal tables, so merges are memoized on their inputs.
-    # A node's aggregate leaves out its own entry: its parent adds it to
-    # the first child's table before the fold and to each later child's
-    # in the merge.
+    # that of equal candidates the smallest (left, right) wins. Tables
+    # are interned: an id indexes tables. A node's aggregate leaves out
+    # its own entry, so its parent folds its children's tables shifted:
+    # with each census's own entry added. Equal subtrees give equal
+    # tables, so shifts and merges are memoized on table ids.
     Table = tuple[tuple[int, int], ...]
-    Pick = dict[int, tuple[int, int, Support]]
-    tables: dict[int, Table] = {}
-    picks: dict[tuple[int, int], Pick] = {}
-    memo: dict[tuple[Table, Table], tuple[Table, Pick]] = {}
+    tables: list[Table] = []
+    table_ids: dict[Table, int] = {}
+    shifted: dict[int, int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
-    def merge_tables(left: Table, right: Table) -> tuple[Table, Pick]:
-        done = memo.get((left, right))
-        if done is not None:
-            return done
+    def intern(table: Table) -> int:
+        tid = table_ids.setdefault(table, len(tables))
+        if tid == len(tables):
+            tables.append(table)
+        return tid
+
+    def shift(tid: int) -> int:
+        out = shifted.get(tid)
+        if out is None:
+            out = shifted[tid] = intern(tuple((sid, val + packed[sid]) for sid, val in tables[tid]))
+        return out
+
+    def merge(left: int, right: int) -> int:
+        """The fold so far, left, merged with the next child's table
+        right, shifted. Only the least value of each census is kept."""
+        out = memo.get((left, right))
+        if out is not None:
+            return out
         best: dict[int, int] = {}
         best_get = best.get
-        pick: Pick = {}
-        right_full = [(rid, rval + packed[rid]) for rid, rval in right]
-        for lid, lval in left:
+        rights = tables[shift(right)]
+        for lid, lval in tables[left]:
             row = merge_rows[lid]
-            for rid, rval in right_full:
+            for rid, rval in rights:
                 outs = row.get(rid)
                 if outs is None:
                     outs = kernel.merges(lid, rid)
                 cand = lval + rval
-                for sid, layout in outs:
+                for sid, _ in outs:
                     cur = best_get(sid)
                     if cur is None or cand < cur:
                         best[sid] = cand
-                        pick[sid] = (lid, rid, layout)
         table = tuple((sid, best[sid]) for sid in sorted(best, key=packed.__getitem__))
-        done = memo[(left, right)] = (table, pick)
-        return done
+        out = memo[(left, right)] = intern(table)
+        return out
 
     # leaf_tables[k]: the table of a leaf that holds up to k blocks, one
     # replica each. No leaf holds more than m, nor more than its capacity.
     ones = range(min(max(capacity), m) + 1)
     rows = [(kernel.intern((0,) * (rho - 1) + (k, m - k)), 0) for k in ones]
-    leaf_tables = [tuple(rows[: k + 1]) for k in ones]
-
-    # The virtual root comes last and folds the roots like any node.
+    leaf_tables = [intern(tuple(rows[: k + 1])) for k in ones]
+    # table_of[u]: the id of u's table; a leaf's is set here. The
+    # virtual root comes last and folds the roots like any node.
+    table_of = [leaf_tables[min(c, m)] for c in capacity] + [0]
+    first, kids = tree.first, tree.kids
     for u in chain(tree.bottom_up, (top,)):
-        kids = tree.children(u)
-        if not kids:
-            tables[u] = leaf_tables[min(capacity[u], m)]
-            continue
-        acc = tuple((sid, val + packed[sid]) for sid, val in tables.pop(kids[0]))
-        for k in range(2, len(kids) + 1):
-            acc, picks[(u, k)] = merge_tables(acc, tables.pop(kids[k - 1]))
-        tables[u] = acc
+        lo, hi = first[u], first[u + 1]
+        if lo < hi:
+            acc = shift(table_of[kids[lo]])
+            for k in range(lo + 1, hi):
+                acc = merge(acc, table_of[kids[k]])
+            table_of[u] = acc
 
     target_id = kernel.ids.get(target.entries)
-    value = dict(tables[top]).get(target_id)
+    value = dict(tables[table_of[top]]).get(target_id)
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")
 
-    # Walk the decisions back down, handing each node the blocks it
+    # Walk the choices back down, handing each node the blocks it
     # fills. slots[c] lists, in order, the blocks that the node's partial
     # blocks of size class c belong to; the root's are the requested
     # blocks of each size, in request order. Layout cells are taken in
     # order, and a cell (i, j, v) gives the next v slots of class
     # i + j - rho to the left side's class i and the child's class j.
+    # No subtree whose census is the empty one is entered.
+    empty = rows[0][0]
     ids = tree.ids
     members: list[list[str]] = [[] for _ in sizes]
     root_slots: dict[int, list[int]] = {}
     for b, s in enumerate(sizes):
         root_slots.setdefault(rho - s, []).append(b)
-    walk = [(top, target_id, root_slots)]
+    walk = [(top, target_id, value, root_slots)]
     while walk:
-        u, cur, slots = walk.pop()
-        kids = tree.children(u)
-        if not kids:
+        u, cur, val, slots = walk.pop()
+        below = tree.children(u)
+        if not below:
             for b in slots.get(rho - 1, ()):
                 members[b].append(ids[u])
             continue
-        for k in range(len(kids), 1, -1):
-            lid, rid, layout = picks[(u, k)][cur]
+        # The fold again, from the memo: prefix[k] is the fold of the
+        # first k + 1 children's shifted tables.
+        prefix = [shift(table_of[below[0]])]
+        for c in below[1:]:
+            prefix.append(merge(prefix[-1], table_of[c]))
+        for k in range(len(below) - 1, 0, -1):
+            # The merge's choice: of the pairs that give census cur its
+            # least value val, the first in the merge's scan order.
+            lid, lval, rid, rval, layout = next(
+                (lid, lval, rid, rval, layout)
+                for lid, lval in tables[prefix[k - 1]]
+                for rid, rval in tables[shifted[table_of[below[k]]]] if lval + rval == val
+                for sid, layout in merge_rows[lid][rid] if sid == cur
+            )
             left: dict[int, list[int]] = {}
             right: dict[int, list[int]] = {}
             used = dict.fromkeys(slots, 0)
@@ -388,9 +431,14 @@ def solve_multi(
                 used[c] += v
                 left.setdefault(i, []).extend(part)
                 right.setdefault(j, []).extend(part)
-            walk.append((kids[k - 1], rid, right))
-            cur, slots = lid, left
-        walk.append((kids[0], cur, slots))
+            if rid != empty:
+                walk.append((below[k], rid, rval - packed[rid], right))
+            cur, val, slots = lid, lval, left
+            if cur == empty:
+                # The first k children hold no replica either.
+                break
+        else:
+            walk.append((below[0], cur, val - packed[cur], slots))
 
     agg = FailureAggregate(entries=kernel.unpack(value), rho=rho)
     return agg, MultiPlacement(blocks=tuple(map(frozenset, members)))

@@ -17,7 +17,7 @@ from fdplace.errors import (
 )
 from fdplace.generate import random_model
 from fdplace.metrics import multi_aggregate, signature_of_sizes
-from fdplace.model import FailureModel, parse_model, render_model
+from fdplace.model import FailureModel, Tree, parse_model, render_model
 from fdplace.multi import (
     MergeKernel,
     _signature_domain,
@@ -465,10 +465,14 @@ def test_solve_multi_wide_spread_is_pinned(leaves, sizes):
     assert multi_aggregate(model, witness).entries == agg.entries
 
 
-@pytest.mark.parametrize("leaves,sizes", [(200, (6, 4, 2, 2)), (50, (12, 1))])
+@pytest.mark.parametrize(
+    "leaves,sizes", [(200, (6, 4, 2, 2)), (50, (12, 1)), (2_000, (3, 3, 2))]
+)
 def test_solve_multi_enumerates_each_pair_once(monkeypatch, leaves, sizes):
     # merges records each kept census's support while it enumerates a
-    # pair, so the walk down never enumerates the pair again.
+    # pair, so the walk down, which recovers its choices from the cached
+    # merges, never enumerates the pair again. The narrow request's
+    # leaves hold up to two replicas.
     calls = Counter()
     layouts = MergeKernel.layouts
 
@@ -477,5 +481,85 @@ def test_solve_multi_enumerates_each_pair_once(monkeypatch, leaves, sizes):
         return layouts(kernel, left, right)
 
     monkeypatch.setattr(MergeKernel, "layouts", counted)
-    solve_multi(random_model(leaves, 1), sizes)
+    solve_multi(random_model(leaves, 1, max_capacity=2 if leaves == 2_000 else 1), sizes)
     assert calls and max(calls.values()) == 1
+
+
+def test_solve_multi_walks_down_only_subtrees_that_hold_replicas(monkeypatch):
+    # The walk down reads each node's children once, and the fold up
+    # reads the child array directly, so the reads count the nodes that
+    # the walk handles: at most the nodes on the witness leaves' root
+    # paths, and the virtual root.
+    model = random_model(10_000, 1, max_capacity=2)
+    tree = model.tree
+    handled = Counter()
+    children = Tree.children
+
+    def counted(self, u):
+        handled[u] += 1
+        return children(self, u)
+
+    monkeypatch.setattr(Tree, "children", counted)
+    _, witness = solve_multi(model, (3, 3, 2))
+    on_paths = {tree.root}.union(
+        *(tree.up(tree.index[leaf]) for block in witness.blocks for leaf in block)
+    )
+    assert 0 < sum(handled.values()) <= len(on_paths) < 100
+
+
+def test_gale_ryser_refusal_runs_no_merge(monkeypatch):
+    # A request that fails the Gale-Ryser test is refused before the DP,
+    # and the message names the k that fails. The first request passes
+    # the tests of the largest size and of the size and capacity sums.
+    calls = []
+    layouts = MergeKernel.layouts
+
+    def counted(kernel, left, right):
+        calls.append((left, right))
+        return layouts(kernel, left, right)
+
+    monkeypatch.setattr(MergeKernel, "layouts", counted)
+    model = parse_model(
+        json.dumps(
+            {
+                "nodes": [
+                    {"id": "r", "parent": None},
+                    {"id": "big", "parent": "r", "capacity": 3},
+                    {"id": "small", "parent": "r", "capacity": 1},
+                ]
+            }
+        )
+    )
+    with pytest.raises(InfeasibleError, match="the 2 largest blocks need 4 replicas"):
+        solve_multi(model, (2, 2))
+    rng = random.Random(5)
+    refused = 0
+    for trial in range(300):
+        leaves = rng.randint(2, 7)
+        model = random_model(leaves, 71_000 + trial, max_capacity=rng.randint(1, 5))
+        sizes = tuple(rng.randint(1, leaves) for _ in range(rng.randint(2, 4)))
+        if not sizes_fit([c for c in model.tree.capacity if c], sizes):
+            with pytest.raises(InfeasibleError):
+                solve_multi(model, sizes)
+            refused += 1
+    assert refused >= 20 and not calls
+
+
+# sha256 over the objective and sorted blocks of each request below, in
+# order: 2,000-leaf models, beyond the oracle and the models of
+# WITNESS_DIGEST, at the natural skew and one wider.
+MID_SIZE_DIGEST = "449bf0fe88bada499fe5473195eef19c6b8ed3c9957de3bdbfdb452ca80bcc54"
+
+
+def test_solve_multi_mid_size_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for seed, roots in [(1, 1), (2, 1), (3, 3)]:
+        model = random_model(2_000, seed, max_capacity=2, roots=roots)
+        for sizes in [(3, 3, 2), (3, 3, 3, 3), (4, 1), (2, 2, 2)]:
+            natural = target_signature(sizes)[1]
+            for skew in (natural, natural + 1):
+                agg, witness = solve_multi(model, sizes, skew=skew)
+                assert multi_aggregate(model, witness).entries == agg.entries
+                blocks = [sorted(b) for b in witness.blocks]
+                digest.update(json.dumps([list(agg.entries), blocks]).encode())
+    assert digest.hexdigest() == MID_SIZE_DIGEST
