@@ -9,8 +9,10 @@ Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
 in the two child tables: the merge kernel enumerates the cell layouts
 with those margins once per pair, cutting a partial layout once its
-merged classes span more than the window, keeps the merged censuses
-that fit the target, and caches them for the rest of the solve.
+merged classes span more than the window. It carries only the merged
+census, packed into one int, and no layout; it keeps the ids of the
+merged censuses that fit the target and caches them for the rest of
+the solve.
 Aggregates are packed into single ints, so a candidate costs one
 addition and one comparison. A merge keeps only the least value of
 each census, no choice. A node's table leaves out its own census
@@ -32,8 +34,9 @@ visits only the root paths of the witness's leaves. At each node it
 folds the children's tables again, every merge a memo hit, and
 recovers each choice: the first (left, right) pair, in the merge's
 scan order, that gives the census its least value. It splits by that
-pair's support, the first, so smallest, layout that gives the census,
-which the kernel's cached merge holds, so recovery enumerates nothing.
+pair's support, the first, so smallest, layout that gives the census.
+Only the picked pairs have their layouts enumerated, each once per
+solve, so recovery enumerates pairs only on the witness's root paths.
 
 build_phi tabulates the same kernel, without a target, over every
 census pair, for checking it against brute force.
@@ -41,8 +44,10 @@ census pair, for checking it against brute force.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import chain, combinations_with_replacement
+from operator import add
 
 from .errors import InfeasibleError, SkewOverrideError
 from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
@@ -53,6 +58,8 @@ from .value import Value
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
+# rows, room, cols, first: see MergeKernel._grid.
+Grid = tuple[list[tuple[int, int]], list[int], list[int], list[int]]
 
 
 class MergeKernel:
@@ -60,11 +67,11 @@ class MergeKernel:
     delta, enumerated per (left, right) census pair on first use and,
     given the requested sizes, kept only where they fit that target.
 
-    Censuses are interned: an id indexes census (the vector) and packed
-    (the vector as one int with `bits` bits a digit, entry 0 most
-    significant, so int order is tuple order). A cell (i, j, count) of
-    a layout combines count left parts holding rho - i replicas with
-    right parts holding rho - j.
+    Censuses are interned by their packed form, the vector as one int
+    with `bits` bits a digit, entry 0 most significant, so int order is
+    tuple order: ids maps it to an id, which indexes census (the vector)
+    and packed. A cell (i, j, count) of a layout combines count left
+    parts holding rho - i replicas with right parts holding rho - j.
     """
 
     def __init__(self, rho: int, delta: int, bits: int, sizes: Vector = ()) -> None:
@@ -74,7 +81,7 @@ class MergeKernel:
         # The target's parts, largest first; with no sizes every census fits.
         self.bound = tuple(sorted(sizes, reverse=True))
         self.limit = sum(sizes)
-        self.ids: dict[Vector, int] = {}
+        self.ids: dict[int, int] = {}
         self.census: list[Vector] = []
         self.packed: list[int] = []
         # parts[id]: the replicas of each block, largest first.
@@ -84,14 +91,15 @@ class MergeKernel:
         self.total: list[int] = []
         self.fits: list[bool] = []
         # merge_rows[left][right]: the cached result of merges(left, right).
-        self.merge_rows: list[dict[int, list[tuple[int, Support]]]] = []
+        self.merge_rows: list[dict[int, list[int]]] = []
 
     def intern(self, vec: Vector) -> int:
-        cid = self.ids.get(vec)
+        key = self.pack(vec)
+        cid = self.ids.get(key)
         if cid is None:
-            cid = self.ids[vec] = len(self.census)
+            cid = self.ids[key] = len(self.census)
             self.census.append(vec)
-            self.packed.append(self.pack(vec))
+            self.packed.append(key)
             parts = tuple(self.rho - k for k, v in enumerate(vec) for _ in range(v))
             self.parts.append(parts)
             self.total.append(sum(parts))
@@ -111,46 +119,58 @@ class MergeKernel:
             (value >> (self.bits * (self.rho - k))) & mask for k in range(self.rho + 1)
         )
 
+    def _grid(self, left: int, right: int) -> Grid | None:
+        """What both enumerations start from: rows, the (i, count) of
+        census left's nonzero classes; room, census right as a list to
+        place from; cols, right's nonzero classes; and first[r], the
+        first of cols that row r may use (i + j >= rho). None when no
+        layout exists."""
+        rho = self.rho
+        # Pairing the largest left parts with the smallest right parts
+        # fits under rho exactly when some layout exists.
+        if max(map(add, self.parts[left], reversed(self.parts[right]))) > rho:
+            return None
+        rows = [(i, c) for i, c in enumerate(self.census[left]) if c]
+        room = list(self.census[right])
+        cols = [j for j, c in enumerate(room) if c]
+        first = [bisect_left(cols, rho - i) for i, _ in rows]
+        return rows, room, cols, first
+
     def layouts(self, left: int, right: int) -> list[tuple[Support, Vector]]:
         """Every cell layout, cells in (i, j) order, whose rows sum to
         census left, whose columns sum to census right and whose merged
         census lies in the window, with that census, smallest first:
-        columns and cell counts are tried in ascending order."""
-        rho = self.rho
-        # Pairing the largest left parts with the smallest right parts
-        # fits under rho exactly when some layout exists.
-        if any(a + b > rho for a, b in zip(self.parts[left], reversed(self.parts[right]))):
+        columns and cell counts are tried in ascending order. The walk
+        down reads the layouts of the pairs it picks, and build_phi
+        those of every pair."""
+        grid = self._grid(left, right)
+        if grid is None:
             return []
-        rows = [(i, c) for i, c in enumerate(self.census[left]) if c]
-        room = list(self.census[right])
-        cols = [j for j, c in enumerate(room) if c]
-        # first[r]: the first of cols that row r may use (i + j >= rho).
-        first = [sum(1 for j in cols if i + j < rho) for i, _ in rows]
+        rows, room, cols, first = grid
+        rho, delta, bits = self.rho, self.delta, self.bits
         last = len(rows) - 1
         cells: list[tuple[int, int, int]] = []
-        # diag[c]: the blocks of merged class c that cells places.
-        diag = [0] * (rho + 1)
-        delta = self.delta
         out: list[tuple[Support, Vector]] = []
 
-        def fill(r: int, k: int, need: int, lo: int, hi: int) -> None:
+        def fill(r: int, k: int, need: int, lo: int, hi: int, acc: int) -> None:
             # Place `need` more blocks of row r in cols[k:]. lo and hi are
-            # the lowest and highest merged classes of cells; a cell only
-            # widens that span, so a layout is cut once it exceeds delta.
+            # the lowest and highest merged classes of cells, and acc their
+            # merged census, packed (class c at bit bits * (rho - c)); a
+            # cell only widens that span, so a layout is cut once it
+            # exceeds delta.
             i = rows[r][0]
             if r == last:
                 # The last row takes whatever room is left: the pairing
-                # test above leaves none it cannot reach.
+                # test leaves none it cannot reach.
                 rest = [(i, j, room[j]) for j in cols[k:] if room[j]]
                 low, high = i + rest[0][1] - rho, i + rest[-1][1] - rho
                 if (high if high > hi else hi) - (low if low < lo else lo) <= delta:
-                    merged = diag[:]
                     for _, j, v in rest:
-                        merged[i + j - rho] += v
-                    out.append((tuple(cells) + tuple(rest), tuple(merged)))
+                        acc += v << bits * (2 * rho - i - j)
+                    out.append((tuple(cells) + tuple(rest), self.unpack(acc)))
                 return
             if need == 0:
-                fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi)
+                fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi, acc)
                 return
             for n in range(k, len(cols)):
                 j = cols[n]
@@ -166,32 +186,79 @@ class MergeKernel:
                     low, high = c, hi
                 else:
                     low, high = lo, hi
+                digit = bits * (rho - c)
                 for v in range(1, min(need, room[j]) + 1):
                     room[j] -= v
-                    diag[c] += v
                     cells.append((i, j, v))
-                    fill(r, n + 1, need - v, low, high)
+                    fill(r, n + 1, need - v, low, high, acc + (v << digit))
                     cells.pop()
-                    diag[c] -= v
                     room[j] += v
 
         # No cells yet: every class lies in [0, rho], so lo = rho and
         # hi = 0 let the first cell set both.
-        fill(0, first[0], rows[0][1], rho, 0)
+        fill(0, first[0], rows[0][1], rho, 0, 0)
         return out
 
-    def merges(self, left: int, right: int) -> list[tuple[int, Support]]:
-        """(merged id, support) for every census in the window that fits
-        the target and that left and right merge into, where the support
-        is the first, so smallest, layout that gives it; cached in
-        merge_rows."""
-        found: dict[int, tuple[int, Support]] = {}
+    def censuses(self, left: int, right: int) -> set[int]:
+        """The packed merged census of every layout that layouts(left,
+        right) gives, by the same recursion carrying only that int."""
+        grid = self._grid(left, right)
+        out: set[int] = set()
+        if grid is None:
+            return out
+        rows, room, cols, first = grid
+        rho, delta, bits = self.rho, self.delta, self.bits
+        last = len(rows) - 1
+
+        def fill(r: int, k: int, need: int, lo: int, hi: int, acc: int) -> None:
+            i = rows[r][0]
+            if r == last:
+                rest = [j for j in cols[k:] if room[j]]
+                low, high = i + rest[0] - rho, i + rest[-1] - rho
+                if (high if high > hi else hi) - (low if low < lo else lo) <= delta:
+                    for j in rest:
+                        acc += room[j] << bits * (2 * rho - i - j)
+                    out.add(acc)
+                return
+            if need == 0:
+                fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi, acc)
+                return
+            for n in range(k, len(cols)):
+                j = cols[n]
+                c = i + j - rho
+                if c > hi:
+                    if c - lo > delta:
+                        break
+                    low, high = (c if c < lo else lo), c
+                elif c < lo:
+                    if hi - c > delta:
+                        continue
+                    low, high = c, hi
+                else:
+                    low, high = lo, hi
+                digit = bits * (rho - c)
+                for v in range(1, min(need, room[j]) + 1):
+                    room[j] -= v
+                    fill(r, n + 1, need - v, low, high, acc + (v << digit))
+                    room[j] += v
+
+        fill(0, first[0], rows[0][1], rho, 0, 0)
+        return out
+
+    def merges(self, left: int, right: int) -> list[int]:
+        """The ids of the censuses in the window that fit the target and
+        that left and right merge into; cached in merge_rows. A census
+        already interned costs one lookup of its packed form."""
+        out: list[int] = []
         if not self.bound or self.total[left] + self.total[right] <= self.limit:
-            for layout, sig in self.layouts(left, right):
-                sid = self.intern(sig)
-                if sid not in found and self.fits[sid]:
-                    found[sid] = (sid, layout)
-        out = self.merge_rows[left][right] = list(found.values())
+            ids, fits = self.ids, self.fits
+            for key in self.censuses(left, right):
+                sid = ids.get(key)
+                if sid is None:
+                    sid = self.intern(self.unpack(key))
+                if fits[sid]:
+                    out.append(sid)
+        self.merge_rows[left][right] = out
         return out
 
 
@@ -357,7 +424,7 @@ def solve_multi(
                 if outs is None:
                     outs = kernel.merges(lid, rid)
                 cand = lval + rval
-                for sid, _ in outs:
+                for sid in outs:
                     cur = best_get(sid)
                     if cur is None or cand < cur:
                         best[sid] = cand
@@ -382,7 +449,7 @@ def solve_multi(
                 acc = merge(acc, table_of[kids[k]])
             table_of[u] = acc
 
-    target_id = kernel.ids.get(target.entries)
+    target_id = kernel.ids.get(kernel.pack(target.entries))
     value = dict(tables[table_of[top]]).get(target_id)
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")
@@ -400,6 +467,9 @@ def solve_multi(
     root_slots: dict[int, list[int]] = {}
     for b, s in enumerate(sizes):
         root_slots.setdefault(rho - s, []).append(b)
+    # first_layout[(lid, rid)]: each census's first, so smallest, layout
+    # of the pair, for the pairs the walk picks.
+    first_layout: dict[tuple[int, int], dict[Vector, Support]] = {}
     walk = [(top, target_id, value, root_slots)]
     while walk:
         u, cur, val, slots = walk.pop()
@@ -416,16 +486,21 @@ def solve_multi(
         for k in range(len(below) - 1, 0, -1):
             # The merge's choice: of the pairs that give census cur its
             # least value val, the first in the merge's scan order.
-            lid, lval, rid, rval, layout = next(
-                (lid, lval, rid, rval, layout)
+            lid, lval, rid, rval = next(
+                (lid, lval, rid, rval)
                 for lid, lval in tables[prefix[k - 1]]
-                for rid, rval in tables[shifted[table_of[below[k]]]] if lval + rval == val
-                for sid, layout in merge_rows[lid][rid] if sid == cur
+                for rid, rval in tables[shifted[table_of[below[k]]]]
+                if lval + rval == val and cur in merge_rows[lid][rid]
             )
+            found = first_layout.get((lid, rid))
+            if found is None:
+                found = first_layout[(lid, rid)] = {}
+                for layout, sig in kernel.layouts(lid, rid):
+                    found.setdefault(sig, layout)
             left: dict[int, list[int]] = {}
             right: dict[int, list[int]] = {}
             used = dict.fromkeys(slots, 0)
-            for i, j, v in layout:
+            for i, j, v in found[kernel.census[cur]]:
                 c = i + j - rho
                 part = slots[c][used[c] : used[c] + v]
                 used[c] += v

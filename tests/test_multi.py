@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -400,21 +401,20 @@ def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
         domain = _signature_domain(m, rho, delta)
         for lvec in domain:
             for rvec in domain:
-                want = {
-                    (full.census[sid], layout)
-                    for sid, layout in full.merges(full.intern(lvec), full.intern(rvec))
-                    if fits(full.census[sid], sizes)
-                }
+                kept = full.merges(full.intern(lvec), full.intern(rvec))
+                want = {full.census[sid] for sid in kept if fits(full.census[sid], sizes)}
                 got = pruned.merges(pruned.intern(lvec), pruned.intern(rvec))
-                assert {(pruned.census[sid], layout) for sid, layout in got} == want
-                assert all(fits(pruned.census[sid], sizes) for sid, _ in got)
-                dropped += len(full.merge_rows[full.ids[lvec]][full.ids[rvec]]) - len(got)
+                assert {pruned.census[sid] for sid in got} == want
+                assert all(fits(pruned.census[sid], sizes) for sid in got)
+                dropped += len(kept) - len(got)
     assert dropped > 0
 
 
 def test_kernel_layouts_come_smallest_first():
-    # merges keeps the first layout of each census as its support, so
-    # layouts must come sorted.
+    # The walk down splits by the first layout of each census, which
+    # must be its smallest, so layouts must come sorted. censuses, which
+    # the up pass enumerates instead, gives exactly their merged
+    # censuses, packed, and with no target merges keeps them all.
     pairs = 0
     for m in range(1, 5):
         for rho in range(1, 5):
@@ -423,16 +423,13 @@ def test_kernel_layouts_come_smallest_first():
                 domain = [kernel.intern(vec) for vec in _signature_domain(m, rho, delta)]
                 for left in domain:
                     for right in domain:
+                        where = (m, rho, delta, left, right)
                         layouts = kernel.layouts(left, right)
-                        assert layouts == sorted(layouts), (m, rho, delta, left, right)
-                        smallest = {}
-                        for layout, sig in layouts:
-                            smallest[sig] = min(smallest.get(sig, layout), layout)
-                        supports = {
-                            kernel.census[sid]: layout
-                            for sid, layout in kernel.merges(left, right)
-                        }
-                        assert supports == smallest, (m, rho, delta, left, right)
+                        assert layouts == sorted(layouts), where
+                        sigs = {sig for _, sig in layouts}
+                        assert kernel.censuses(left, right) == set(map(kernel.pack, sigs)), where
+                        kept = kernel.merges(left, right)
+                        assert sorted(kernel.census[sid] for sid in kept) == sorted(sigs), where
                         pairs += 1
     assert pairs == 16_604
 
@@ -469,20 +466,47 @@ def test_solve_multi_wide_spread_is_pinned(leaves, sizes):
     "leaves,sizes", [(200, (6, 4, 2, 2)), (50, (12, 1)), (2_000, (3, 3, 2))]
 )
 def test_solve_multi_enumerates_each_pair_once(monkeypatch, leaves, sizes):
-    # merges records each kept census's support while it enumerates a
-    # pair, so the walk down, which recovers its choices from the cached
-    # merges, never enumerates the pair again. The narrow request's
+    # The up pass enumerates each pair's merged censuses once and caches
+    # their ids. The walk down, which starts with the first read of a
+    # node's children (the fold up reads the child array directly),
+    # enumerates the layouts of only the pairs it picks, each once, and
+    # picks no more pairs than it handles nodes. The narrow request's
     # leaves hold up to two replicas.
-    calls = Counter()
-    layouts = MergeKernel.layouts
+    events = []
 
-    def counted(kernel, left, right):
-        calls[(left, right)] += 1
-        return layouts(kernel, left, right)
+    def counted(name, method):
+        def wrapper(self, *args):
+            events.append((name, *args))
+            return method(self, *args)
 
-    monkeypatch.setattr(MergeKernel, "layouts", counted)
+        return wrapper
+
+    monkeypatch.setattr(MergeKernel, "censuses", counted("censuses", MergeKernel.censuses))
+    monkeypatch.setattr(MergeKernel, "layouts", counted("layouts", MergeKernel.layouts))
+    monkeypatch.setattr(Tree, "children", counted("children", Tree.children))
     solve_multi(random_model(leaves, 1, max_capacity=2 if leaves == 2_000 else 1), sizes)
-    assert calls and max(calls.values()) == 1
+    kinds = [name for name, *_ in events]
+    down = kinds.index("children")
+    assert "layouts" not in kinds[:down] and "censuses" not in kinds[down:]
+    ups = events[:down]
+    picked = [event for event in events[down:] if event[0] == "layouts"]
+    assert ups and len(set(ups)) == len(ups)
+    assert picked and len(set(picked)) == len(picked) <= kinds.count("children")
+
+
+def test_solve_multi_keeps_no_layout_on_the_way_up():
+    # The up pass keeps one id per merged census, no layout: the traced
+    # peak of the wide request is about 1.2 MB, and 2.0 MB when every
+    # kept merge held its smallest layout.
+    model = random_model(200, 1)
+    model.tree
+    tracemalloc.start()
+    try:
+        solve_multi(model, (6, 4, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_600_000, peak
 
 
 def test_solve_multi_walks_down_only_subtrees_that_hold_replicas(monkeypatch):
@@ -512,13 +536,16 @@ def test_gale_ryser_refusal_runs_no_merge(monkeypatch):
     # and the message names the k that fails. The first request passes
     # the tests of the largest size and of the size and capacity sums.
     calls = []
-    layouts = MergeKernel.layouts
 
-    def counted(kernel, left, right):
-        calls.append((left, right))
-        return layouts(kernel, left, right)
+    def counted(method):
+        def wrapper(kernel, left, right):
+            calls.append((left, right))
+            return method(kernel, left, right)
 
-    monkeypatch.setattr(MergeKernel, "layouts", counted)
+        return wrapper
+
+    monkeypatch.setattr(MergeKernel, "censuses", counted(MergeKernel.censuses))
+    monkeypatch.setattr(MergeKernel, "layouts", counted(MergeKernel.layouts))
     model = parse_model(
         json.dumps(
             {

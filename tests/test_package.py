@@ -142,11 +142,11 @@ def test_unknown_names_raise_attribute_error():
 
 def test_unused_accessors_are_gone():
     # Per-node facts are read as model.nodes[id], walks from given
-    # starts go through Tree.walk, and each merge the kernel keeps
-    # carries its support. No solver reads node counts (subtree_stats
-    # counts its own), solve_fast collects a filled subtree's leaves in
-    # the walk that counts it, and the census domain comes from
-    # itertools.
+    # starts go through Tree.walk, and each merge the kernel keeps is a
+    # census id, its support coming from layouts. No solver reads node
+    # counts (subtree_stats counts its own), solve_fast collects a
+    # filled subtree's leaves in the walk that counts it, and the census
+    # domain comes from itertools.
     from fdplace import multi, single
 
     for name in ("is_leaf", "capacity", "parent", "node_ids"):
@@ -162,7 +162,8 @@ def test_unused_accessors_are_gone():
     # One block holding one replica, merged with one holding none,
     # gives the left census back through a single cell.
     left, right = kernel.intern((0, 1, 0)), kernel.intern((0, 0, 1))
-    assert (left, ((1, 2, 1),)) in kernel.merges(left, right)
+    assert left in kernel.merges(left, right)
+    assert kernel.layouts(left, right) == [(((1, 2, 1),), (0, 1, 0))]
 
 
 def test_rank_selection_is_gone():
