@@ -7,12 +7,13 @@ solves in two passes.
 
 Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
-in the two child tables: the merge kernel enumerates the cell layouts
-with those margins once per pair, cutting a partial layout once its
-merged classes span more than the window. It carries only the merged
-census, packed into one int, and no layout; it keeps the ids of the
-merged censuses that fit the target and caches them for the rest of
-the solve.
+in the two child tables: the merge kernel's censuses enumerates the
+cell layouts with those margins once per pair. Only this enumeration
+packs censuses and cuts: it skips a pair with no layout, cuts a
+partial layout once its merged classes span more than the window, and
+carries only the merged census, packed into one int, and no layout.
+The kernel keeps the ids of the merged censuses that fit the target
+and caches them for the rest of the solve.
 Aggregates are packed into single ints, so a candidate costs one
 addition and one comparison. A merge keeps only the least value of
 each census, no choice. A node's table leaves out its own census
@@ -37,9 +38,12 @@ scan order, that gives the census its least value. It splits by that
 pair's support, the first, so smallest, layout that gives the census.
 Only the picked pairs have their layouts enumerated, each once per
 solve, so recovery enumerates pairs only on the witness's root paths.
+layouts enumerates plainly, with no cut: every layout with the pair's
+margins in lexicographic order, its merged census tallied and the
+window tested once the layout is finished.
 
-build_phi tabulates the same kernel, without a target, over every
-census pair, for checking it against brute force.
+build_phi tabulates layouts, without a target, over every census pair,
+for checking the kernel against brute force.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ from .value import Value
 
 Vector = tuple[int, ...]
 Support = tuple[tuple[int, int, int], ...]
-# rows, room, cols, first: see MergeKernel._grid.
-Grid = tuple[list[tuple[int, int]], list[int], list[int], list[int]]
 
 
 class MergeKernel:
@@ -119,55 +121,85 @@ class MergeKernel:
             (value >> (self.bits * (self.rho - k))) & mask for k in range(self.rho + 1)
         )
 
-    def _grid(self, left: int, right: int) -> Grid | None:
-        """What both enumerations start from: rows, the (i, count) of
-        census left's nonzero classes; room, census right as a list to
-        place from; cols, right's nonzero classes; and first[r], the
-        first of cols that row r may use (i + j >= rho). None when no
-        layout exists."""
-        rho = self.rho
+    def layouts(self, left: int, right: int) -> list[tuple[Support, Vector]]:
+        """Every cell layout, cells in (i, j) order, whose rows sum to
+        census left, whose columns sum to census right and whose merged
+        census lies in the window, with that census, smallest first.
+        A plain enumeration that shares no cut with censuses: it places
+        each row i of left from column rho - i upward, trying columns
+        and cell counts in ascending order, and tests the window on each
+        finished layout. The walk down reads the layouts of the pairs it
+        picks, and build_phi those of every pair."""
+        rho, delta = self.rho, self.delta
+        rows = [(i, c) for i, c in enumerate(self.census[left]) if c]
+        room = list(self.census[right])
+        cells: list[tuple[int, int, int]] = []
+        out: list[tuple[Support, Vector]] = []
+
+        def fill(r: int, start: int, need: int) -> None:
+            # Place `need` more blocks of row r in columns start and up.
+            if need == 0:
+                if r + 1 < len(rows):
+                    i, count = rows[r + 1]
+                    fill(r + 1, rho - i, count)
+                    return
+                # Both censuses hold m blocks, so no room is left.
+                merged = [0] * (rho + 1)
+                for i, j, v in cells:
+                    merged[i + j - rho] += v
+                classes = [c for c, v in enumerate(merged) if v]
+                if classes[-1] - classes[0] <= delta:
+                    out.append((tuple(cells), tuple(merged)))
+                return
+            i = rows[r][0]
+            for j in range(start, rho + 1):
+                for v in range(1, min(need, room[j]) + 1):
+                    room[j] -= v
+                    cells.append((i, j, v))
+                    fill(r, j + 1, need - v)
+                    cells.pop()
+                    room[j] += v
+
+        i, count = rows[0]
+        fill(0, rho - i, count)
+        return out
+
+    def censuses(self, left: int, right: int) -> set[int]:
+        """The packed merged census of every layout that layouts(left,
+        right) gives. The up pass's enumeration: it carries only that
+        int, skips a pair with no layout, cuts a partial layout once
+        it leaves the window, and lets the last row take the room left."""
+        rho, delta, bits = self.rho, self.delta, self.bits
+        out: set[int] = set()
         # Pairing the largest left parts with the smallest right parts
         # fits under rho exactly when some layout exists.
         if max(map(add, self.parts[left], reversed(self.parts[right]))) > rho:
-            return None
+            return out
+        # rows: the (i, count) of left's nonzero classes; room: right, as
+        # a list to place from; cols: right's nonzero classes; first[r]:
+        # the first of cols that row r may use (i + j >= rho).
         rows = [(i, c) for i, c in enumerate(self.census[left]) if c]
         room = list(self.census[right])
         cols = [j for j, c in enumerate(room) if c]
         first = [bisect_left(cols, rho - i) for i, _ in rows]
-        return rows, room, cols, first
-
-    def layouts(self, left: int, right: int) -> list[tuple[Support, Vector]]:
-        """Every cell layout, cells in (i, j) order, whose rows sum to
-        census left, whose columns sum to census right and whose merged
-        census lies in the window, with that census, smallest first:
-        columns and cell counts are tried in ascending order. The walk
-        down reads the layouts of the pairs it picks, and build_phi
-        those of every pair."""
-        grid = self._grid(left, right)
-        if grid is None:
-            return []
-        rows, room, cols, first = grid
-        rho, delta, bits = self.rho, self.delta, self.bits
         last = len(rows) - 1
-        cells: list[tuple[int, int, int]] = []
-        out: list[tuple[Support, Vector]] = []
 
         def fill(r: int, k: int, need: int, lo: int, hi: int, acc: int) -> None:
             # Place `need` more blocks of row r in cols[k:]. lo and hi are
-            # the lowest and highest merged classes of cells, and acc their
-            # merged census, packed (class c at bit bits * (rho - c)); a
-            # cell only widens that span, so a layout is cut once it
+            # the lowest and highest merged classes placed so far, and acc
+            # their merged census, packed (class c at bit bits * (rho - c));
+            # a cell only widens that span, so a layout is cut once it
             # exceeds delta.
             i = rows[r][0]
             if r == last:
                 # The last row takes whatever room is left: the pairing
                 # test leaves none it cannot reach.
-                rest = [(i, j, room[j]) for j in cols[k:] if room[j]]
-                low, high = i + rest[0][1] - rho, i + rest[-1][1] - rho
+                rest = [j for j in cols[k:] if room[j]]
+                low, high = i + rest[0] - rho, i + rest[-1] - rho
                 if (high if high > hi else hi) - (low if low < lo else lo) <= delta:
-                    for _, j, v in rest:
-                        acc += v << bits * (2 * rho - i - j)
-                    out.append((tuple(cells) + tuple(rest), self.unpack(acc)))
+                    for j in rest:
+                        acc += room[j] << bits * (2 * rho - i - j)
+                    out.add(acc)
                 return
             if need == 0:
                 fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi, acc)
@@ -189,59 +221,11 @@ class MergeKernel:
                 digit = bits * (rho - c)
                 for v in range(1, min(need, room[j]) + 1):
                     room[j] -= v
-                    cells.append((i, j, v))
                     fill(r, n + 1, need - v, low, high, acc + (v << digit))
-                    cells.pop()
                     room[j] += v
 
         # No cells yet: every class lies in [0, rho], so lo = rho and
         # hi = 0 let the first cell set both.
-        fill(0, first[0], rows[0][1], rho, 0, 0)
-        return out
-
-    def censuses(self, left: int, right: int) -> set[int]:
-        """The packed merged census of every layout that layouts(left,
-        right) gives, by the same recursion carrying only that int."""
-        grid = self._grid(left, right)
-        out: set[int] = set()
-        if grid is None:
-            return out
-        rows, room, cols, first = grid
-        rho, delta, bits = self.rho, self.delta, self.bits
-        last = len(rows) - 1
-
-        def fill(r: int, k: int, need: int, lo: int, hi: int, acc: int) -> None:
-            i = rows[r][0]
-            if r == last:
-                rest = [j for j in cols[k:] if room[j]]
-                low, high = i + rest[0] - rho, i + rest[-1] - rho
-                if (high if high > hi else hi) - (low if low < lo else lo) <= delta:
-                    for j in rest:
-                        acc += room[j] << bits * (2 * rho - i - j)
-                    out.add(acc)
-                return
-            if need == 0:
-                fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi, acc)
-                return
-            for n in range(k, len(cols)):
-                j = cols[n]
-                c = i + j - rho
-                if c > hi:
-                    if c - lo > delta:
-                        break
-                    low, high = (c if c < lo else lo), c
-                elif c < lo:
-                    if hi - c > delta:
-                        continue
-                    low, high = c, hi
-                else:
-                    low, high = lo, hi
-                digit = bits * (rho - c)
-                for v in range(1, min(need, room[j]) + 1):
-                    room[j] -= v
-                    fill(r, n + 1, need - v, low, high, acc + (v << digit))
-                    room[j] += v
-
         fill(0, first[0], rows[0][1], rho, 0, 0)
         return out
 

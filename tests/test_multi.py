@@ -410,11 +410,23 @@ def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
     assert dropped > 0
 
 
-def test_kernel_layouts_come_smallest_first():
+def test_kernel_layouts_come_smallest_first(monkeypatch):
     # The walk down splits by the first layout of each census, which
     # must be its smallest, so layouts must come sorted. censuses, which
-    # the up pass enumerates instead, gives exactly their merged
-    # censuses, packed, and with no target merges keeps them all.
+    # the up pass enumerates instead and which shares no cut with
+    # layouts, gives exactly their merged censuses, packed, and merges
+    # keeps those that fit the target: with no target, all of them.
+    # The pairs: every pair of window censuses for m, rho <= 4, and
+    # every pair that a wide solve hands to merges.
+    def check(kernel, left, right):
+        where = (kernel.rho, kernel.delta, kernel.census[left], kernel.census[right])
+        layouts = kernel.layouts(left, right)
+        assert layouts == sorted(layouts), where
+        sigs = {sig for _, sig in layouts}
+        assert kernel.censuses(left, right) == set(map(kernel.pack, sigs)), where
+        kept = sorted(kernel.census[sid] for sid in kernel.merge_rows[left][right])
+        assert kept == sorted(sig for sig in sigs if kernel.fits[kernel.intern(sig)]), where
+
     pairs = 0
     for m in range(1, 5):
         for rho in range(1, 5):
@@ -423,15 +435,24 @@ def test_kernel_layouts_come_smallest_first():
                 domain = [kernel.intern(vec) for vec in _signature_domain(m, rho, delta)]
                 for left in domain:
                     for right in domain:
-                        where = (m, rho, delta, left, right)
-                        layouts = kernel.layouts(left, right)
-                        assert layouts == sorted(layouts), where
-                        sigs = {sig for _, sig in layouts}
-                        assert kernel.censuses(left, right) == set(map(kernel.pack, sigs)), where
-                        kept = kernel.merges(left, right)
-                        assert sorted(kernel.census[sid] for sid in kept) == sorted(sigs), where
+                        kernel.merges(left, right)
+                        check(kernel, left, right)
                         pairs += 1
     assert pairs == 16_604
+
+    merged = []
+    merges = MergeKernel.merges
+
+    def recorded(kernel, left, right):
+        merged.append((kernel, left, right))
+        return merges(kernel, left, right)
+
+    monkeypatch.setattr(MergeKernel, "merges", recorded)
+    solve_multi(random_model(200, 1), (6, 4, 2, 2))
+    monkeypatch.undo()
+    for kernel, left, right in merged:
+        check(kernel, left, right)
+    assert (kernel.bound, kernel.rho, kernel.delta, len(merged)) == ((6, 4, 2, 2), 6, 4, 4_356)
 
 
 # Requests with a wide size spread, far beyond the oracle's reach:

@@ -143,10 +143,10 @@ def test_unknown_names_raise_attribute_error():
 def test_unused_accessors_are_gone():
     # Per-node facts are read as model.nodes[id], walks from given
     # starts go through Tree.walk, and each merge the kernel keeps is a
-    # census id, its support coming from layouts. No solver reads node
-    # counts (subtree_stats counts its own), solve_fast collects a
-    # filled subtree's leaves in the walk that counts it, and the census
-    # domain comes from itertools.
+    # census id, its support coming from layouts, which shares no setup
+    # with censuses. No solver reads node counts (subtree_stats counts
+    # its own), solve_fast collects a filled subtree's leaves in the
+    # walk that counts it, and the census domain comes from itertools.
     from fdplace import multi, single
 
     for name in ("is_leaf", "capacity", "parent", "node_ids"):
@@ -157,8 +157,9 @@ def test_unused_accessors_are_gone():
     assert not hasattr(multi, "enum_weak_compositions")
     assert list(inspect.signature(postorder).parameters) == ["model"]
     kernel = MergeKernel(2, 1, 8)
-    for name in ("support", "merged", "_supports"):
+    for name in ("support", "merged", "_supports", "_grid"):
         assert not hasattr(kernel, name), name
+    assert not hasattr(multi, "Grid")
     # One block holding one replica, merged with one holding none,
     # gives the left census back through a single cell.
     left, right = kernel.intern((0, 1, 0)), kernel.intern((0, 0, 1))
