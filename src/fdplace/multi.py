@@ -10,8 +10,9 @@ at a time. A merge looks only at the (left, right) census pairs present
 in the two child tables: the merge kernel's censuses enumerates the
 cell layouts with those margins once per pair. Only this enumeration
 packs censuses and cuts: it skips a pair with no layout, cuts a
-partial layout once its merged classes span more than the window, and
-carries only the merged census, packed into one int, and no layout.
+partial layout once a cell lies more than delta above its lowest
+merged class (one-sided, as the right census already fits the
+window), and carries only the merged census, packed into one int.
 The kernel keeps the ids of the merged censuses that fit the target
 and caches them for the rest of the solve.
 Aggregates are packed into single ints, so a candidate costs one
@@ -166,9 +167,13 @@ class MergeKernel:
 
     def censuses(self, left: int, right: int) -> set[int]:
         """The packed merged census of every layout that layouts(left,
-        right) gives. The up pass's enumeration: it carries only that
-        int, skips a pair with no layout, cuts a partial layout once
-        it leaves the window, and lets the last row take the room left."""
+        right) gives; the last row takes the room left. Census right
+        must lie in a window of delta + 1 classes, as every leaf, merged
+        and _signature_domain census does. Rows are placed in ascending i,
+        so a cell (i, j) below every class placed lies (i'' - i) +
+        (j'' - j) <= delta under the highest, at (i'', j''): the window
+        only breaks from above, so a partial layout is cut once a cell
+        lies more than delta above the lowest class placed."""
         rho, delta, bits = self.rho, self.delta, self.bits
         out: set[int] = set()
         # Pairing the largest left parts with the smallest right parts
@@ -184,49 +189,39 @@ class MergeKernel:
         first = [bisect_left(cols, rho - i) for i, _ in rows]
         last = len(rows) - 1
 
-        def fill(r: int, k: int, need: int, lo: int, hi: int, acc: int) -> None:
-            # Place `need` more blocks of row r in cols[k:]. lo and hi are
-            # the lowest and highest merged classes placed so far, and acc
-            # their merged census, packed (class c at bit bits * (rho - c));
-            # a cell only widens that span, so a layout is cut once it
-            # exceeds delta.
+        def fill(r: int, k: int, need: int, lo: int, acc: int) -> None:
+            # Place `need` more blocks of row r in cols[k:]. lo is the
+            # lowest merged class placed so far, and acc the merged
+            # census, packed (class c at bit bits * (rho - c)).
             i = rows[r][0]
             if r == last:
                 # The last row takes whatever room is left: the pairing
                 # test leaves none it cannot reach.
                 rest = [j for j in cols[k:] if room[j]]
-                low, high = i + rest[0] - rho, i + rest[-1] - rho
-                if (high if high > hi else hi) - (low if low < lo else lo) <= delta:
+                low = i + rest[0] - rho
+                if i + rest[-1] - rho - (low if low < lo else lo) <= delta:
                     for j in rest:
                         acc += room[j] << bits * (2 * rho - i - j)
                     out.add(acc)
                 return
             if need == 0:
-                fill(r + 1, first[r + 1], rows[r + 1][1], lo, hi, acc)
+                fill(r + 1, first[r + 1], rows[r + 1][1], lo, acc)
                 return
             for n in range(k, len(cols)):
                 j = cols[n]
                 c = i + j - rho
-                if c > hi:
-                    if c - lo > delta:
-                        # Later columns give higher classes still.
-                        break
-                    low, high = (c if c < lo else lo), c
-                elif c < lo:
-                    if hi - c > delta:
-                        continue
-                    low, high = c, hi
-                else:
-                    low, high = lo, hi
+                if c - lo > delta:
+                    # Later columns give higher classes still.
+                    break
+                low = c if c < lo else lo
                 digit = bits * (rho - c)
                 for v in range(1, min(need, room[j]) + 1):
                     room[j] -= v
-                    fill(r, n + 1, need - v, low, high, acc + (v << digit))
+                    fill(r, n + 1, need - v, low, acc + (v << digit))
                     room[j] += v
 
-        # No cells yet: every class lies in [0, rho], so lo = rho and
-        # hi = 0 let the first cell set both.
-        fill(0, first[0], rows[0][1], rho, 0, 0)
+        # No cells yet: lo = rho, the highest class, lets the first cell set it.
+        fill(0, first[0], rows[0][1], rho, 0)
         return out
 
     def merges(self, left: int, right: int) -> list[int]:

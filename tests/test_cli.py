@@ -309,6 +309,10 @@ def test_gen_rejects_bad_parameters(capsys):
         capsys, "gen", "--leaves", "2", "--seed", "1", "--roots", "5"
     )
     assert code == 2
+    refusals = [("--max-fanout", "1", "max_fanout"), ("--max-capacity", "0", "max_capacity")]
+    for flag, value, name in refusals:
+        code, _out, err = run_cli(capsys, "gen", "--leaves", "5", "--seed", "1", flag, value)
+        assert (code, f"{name} must be at least" in err) == (2, True)
 
 
 def test_oracles_choose_more_leaves_than_the_recursion_limit(capsys, tmp_path):

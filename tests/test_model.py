@@ -123,6 +123,11 @@ def test_empty_and_malformed_documents_rejected():
             parse_model(text)
 
 
+def test_model_needs_nodes_or_a_tree():
+    with pytest.raises(TypeError, match="^a model needs nodes or a tree$"):
+        FailureModel()
+
+
 def test_render_round_trip(two_rows):
     text = render_model(two_rows)
     again = parse_model(text)

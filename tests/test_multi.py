@@ -417,7 +417,8 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
     # layouts, gives exactly their merged censuses, packed, and merges
     # keeps those that fit the target: with no target, all of them.
     # The pairs: every pair of window censuses for m, rho <= 4, and
-    # every pair that a wide solve hands to merges.
+    # every pair that a wide solve hands to merges, at its natural skew
+    # and at skew 5.
     def check(kernel, left, right):
         where = (kernel.rho, kernel.delta, kernel.census[left], kernel.census[right])
         layouts = kernel.layouts(left, right)
@@ -447,12 +448,16 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
         merged.append((kernel, left, right))
         return merges(kernel, left, right)
 
-    monkeypatch.setattr(MergeKernel, "merges", recorded)
-    solve_multi(random_model(200, 1), (6, 4, 2, 2))
-    monkeypatch.undo()
-    for kernel, left, right in merged:
-        check(kernel, left, right)
-    assert (kernel.bound, kernel.rho, kernel.delta, len(merged)) == ((6, 4, 2, 2), 6, 4, 4_356)
+    model = random_model(200, 1)
+    for skew, delta, count in ((None, 4, 4_356), (5, 5, 7_225)):
+        merged.clear()
+        monkeypatch.setattr(MergeKernel, "merges", recorded)
+        solve_multi(model, (6, 4, 2, 2), skew=skew)
+        monkeypatch.undo()
+        for kernel, left, right in merged:
+            check(kernel, left, right)
+        got = (kernel.bound, kernel.rho, kernel.delta, len(merged))
+        assert got == ((6, 4, 2, 2), 6, delta, count)
 
 
 # Requests with a wide size spread, far beyond the oracle's reach:
