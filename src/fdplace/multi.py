@@ -14,7 +14,8 @@ partial layout once a cell lies more than delta above its lowest
 merged class (one-sided, as the right census already fits the
 window), and carries only the merged census, packed into one int.
 The kernel keeps the ids of the merged censuses that fit the target
-and caches them for the rest of the solve.
+and caches them for the rest of the solve, once for both orientations:
+a layout transposed is one of (right, left) with the same merged census.
 Aggregates are packed into single ints, so a candidate costs one
 addition and one comparison. A merge keeps only the least value of
 each census, no choice. A node's table leaves out its own census
@@ -93,7 +94,8 @@ class MergeKernel:
         # part is at most the matching part of the target.
         self.total: list[int] = []
         self.fits: list[bool] = []
-        # merge_rows[left][right]: the cached result of merges(left, right).
+        # merge_rows[left][right]: the cached result of merges(left, right),
+        # the same list as merge_rows[right][left].
         self.merge_rows: list[dict[int, list[int]]] = []
 
     def intern(self, vec: Vector) -> int:
@@ -227,7 +229,10 @@ class MergeKernel:
     def merges(self, left: int, right: int) -> list[int]:
         """The ids of the censuses in the window that fit the target and
         that left and right merge into; cached in merge_rows. A census
-        already interned costs one lookup of its packed form."""
+        already interned costs one lookup of its packed form. Cell (i, j,
+        v) transposed to (j, i, v) swaps the margins and keeps class
+        i + j - rho, so (right, left) shares the list; layouts, whose cell
+        order the walk down reads, does not."""
         out: list[int] = []
         if not self.bound or self.total[left] + self.total[right] <= self.limit:
             ids, fits = self.ids, self.fits
@@ -237,7 +242,7 @@ class MergeKernel:
                     sid = self.intern(self.unpack(key))
                 if fits[sid]:
                     out.append(sid)
-        self.merge_rows[left][right] = out
+        self.merge_rows[left][right] = self.merge_rows[right][left] = out
         return out
 
 

@@ -416,15 +416,18 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
     # the up pass enumerates instead and which shares no cut with
     # layouts, gives exactly their merged censuses, packed, and merges
     # keeps those that fit the target: with no target, all of them.
-    # The pairs: every pair of window censuses for m, rho <= 4, and
-    # every pair that a wide solve hands to merges, at its natural skew
-    # and at skew 5.
+    # A layout transposed is a layout of the reversed pair with the same
+    # merged census, so censuses gives the same set both ways and merges
+    # caches one list for both. The pairs: every pair of window censuses
+    # for m, rho <= 4, and both orientations of every pair that a wide
+    # solve hands to merges, at its natural skew and at skew 5.
     def check(kernel, left, right):
         where = (kernel.rho, kernel.delta, kernel.census[left], kernel.census[right])
         layouts = kernel.layouts(left, right)
         assert layouts == sorted(layouts), where
         sigs = {sig for _, sig in layouts}
-        assert kernel.censuses(left, right) == set(map(kernel.pack, sigs)), where
+        packed = set(map(kernel.pack, sigs))
+        assert kernel.censuses(left, right) == packed == kernel.censuses(right, left), where
         kept = sorted(kernel.census[sid] for sid in kernel.merge_rows[left][right])
         assert kept == sorted(sig for sig in sigs if kernel.fits[kernel.intern(sig)]), where
 
@@ -436,7 +439,8 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
                 domain = [kernel.intern(vec) for vec in _signature_domain(m, rho, delta)]
                 for left in domain:
                     for right in domain:
-                        kernel.merges(left, right)
+                        kept = set(kernel.merges(left, right))
+                        assert kept == set(kernel.merges(right, left)), (left, right)
                         check(kernel, left, right)
                         pairs += 1
     assert pairs == 16_604
@@ -449,15 +453,17 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
         return merges(kernel, left, right)
 
     model = random_model(200, 1)
-    for skew, delta, count in ((None, 4, 4_356), (5, 5, 7_225)):
+    for skew, delta, count, ordered in ((None, 4, 2_211, 4_356), (5, 5, 3_655, 7_225)):
         merged.clear()
         monkeypatch.setattr(MergeKernel, "merges", recorded)
         solve_multi(model, (6, 4, 2, 2), skew=skew)
         monkeypatch.undo()
-        for kernel, left, right in merged:
+        kernel = merged[0][0]
+        both = {pair for _, left, right in merged for pair in ((left, right), (right, left))}
+        for left, right in both:
             check(kernel, left, right)
-        got = (kernel.bound, kernel.rho, kernel.delta, len(merged))
-        assert got == ((6, 4, 2, 2), 6, delta, count)
+        got = (kernel.bound, kernel.rho, kernel.delta, len(merged), len(both))
+        assert got == ((6, 4, 2, 2), 6, delta, count, ordered)
 
 
 # Requests with a wide size spread, far beyond the oracle's reach:
@@ -492,12 +498,12 @@ def test_solve_multi_wide_spread_is_pinned(leaves, sizes):
     "leaves,sizes", [(200, (6, 4, 2, 2)), (50, (12, 1)), (2_000, (3, 3, 2))]
 )
 def test_solve_multi_enumerates_each_pair_once(monkeypatch, leaves, sizes):
-    # The up pass enumerates each pair's merged censuses once and caches
-    # their ids. The walk down, which starts with the first read of a
-    # node's children (the fold up reads the child array directly),
-    # enumerates the layouts of only the pairs it picks, each once, and
-    # picks no more pairs than it handles nodes. The narrow request's
-    # leaves hold up to two replicas.
+    # The up pass enumerates each unordered pair's merged censuses once
+    # and caches their ids for both orientations. The walk down, which
+    # starts with the first read of a node's children (the fold up reads
+    # the child array directly), enumerates the layouts of only the
+    # pairs it picks, each once, and picks no more pairs than it handles
+    # nodes. The narrow request's leaves hold up to two replicas.
     events = []
 
     def counted(name, method):
@@ -514,9 +520,9 @@ def test_solve_multi_enumerates_each_pair_once(monkeypatch, leaves, sizes):
     kinds = [name for name, *_ in events]
     down = kinds.index("children")
     assert "layouts" not in kinds[:down] and "censuses" not in kinds[down:]
-    ups = events[:down]
+    ups = {tuple(sorted(pair)) for _, *pair in events[:down]}
     picked = [event for event in events[down:] if event[0] == "layouts"]
-    assert ups and len(set(ups)) == len(ups)
+    assert ups and len(ups) == down
     assert picked and len(set(picked)) == len(picked) <= kinds.count("children")
 
 
