@@ -4,14 +4,15 @@ The objective everywhere is a failure aggregate: entry i counts the
 nodes whose failure would wipe out exactly rho - i replicas of a block,
 so entry 0 counts total-loss events and the last entry counts harmless
 ones. Aggregates compare lexicographically from entry 0; smaller is
-safer. Signatures use the same indexing for block sizes instead of
-failure counts.
+safer.
 
-The module holds the value types (FailureAggregate, Signature,
-Placement, MultiPlacement), the placement parsers, signature_of_sizes
-and the two evaluators, failure_aggregate and multi_aggregate. The
-paper's lemma helpers (failure numbers, path aggregates,
-sub-signatures) live with the tests that use them, in tests/lemmas.py.
+The module holds the value types (FailureAggregate, Placement,
+MultiPlacement), the placement parsers, the two evaluators,
+failure_aggregate and multi_aggregate, and _check_int, the rule that
+rho and every block size are ints. multi.target_signature maps block
+sizes to their census. The paper's lemma helpers (failure numbers,
+path aggregates, sub-signatures and the Signature census they return)
+live with the tests that use them, in tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -34,23 +35,6 @@ class FailureAggregate(Value):
     def __init__(self, entries: tuple[int, ...], rho: int) -> None:
         if len(entries) != rho + 1:
             raise ValueError("aggregate must have rho + 1 entries")
-        super().__init__(entries, rho)
-
-    def __str__(self) -> str:
-        return "<" + ",".join(str(v) for v in self.entries) + ">"
-
-
-class Signature(Value):
-    """Block-size census: entries[k] counts blocks of size rho - k."""
-
-    __slots__ = ("entries", "rho")
-
-    entries: tuple[int, ...]
-    rho: int
-
-    def __init__(self, entries: tuple[int, ...], rho: int) -> None:
-        if len(entries) != rho + 1:
-            raise ValueError("signature must have rho + 1 entries")
         super().__init__(entries, rho)
 
     def __str__(self) -> str:
@@ -138,7 +122,14 @@ def _aggregate(tree: Tree, leaves: list[int], entries: list[int]) -> None:
         entries[rho - value] += 1
 
 
+def _check_int(what: str, value: object) -> None:
+    """Refuse anything but an int, bools included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_girth(placement: Placement, rho: int) -> None:
+    _check_int("rho", rho)
     if rho < len(placement.leaves):
         raise ModelError(
             f"rho={rho} is smaller than the placement size {len(placement.leaves)}"
@@ -170,15 +161,3 @@ def multi_aggregate(model: FailureModel, mp: MultiPlacement) -> FailureAggregate
         _aggregate(tree, block, entries)
     return FailureAggregate(entries=tuple(entries), rho=rho)
 
-
-def signature_of_sizes(sizes: list[int] | tuple[int, ...]) -> Signature:
-    if not sizes:
-        raise ModelError("sizes list is empty")
-    for s in sizes:
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise ModelError(f"block size must be a non-negative integer, got {s!r}")
-    rho = max(sizes)
-    entries = [0] * (rho + 1)
-    for s in sizes:
-        entries[rho - s] += 1
-    return Signature(entries=tuple(entries), rho=rho)

@@ -3,7 +3,9 @@
 Block-size censuses (signatures) index sizes from the girth down, the
 same way aggregates index failure counts. The solver restricts every
 subtree's census to a window of delta + 1 adjacent size classes and
-solves in two passes.
+solves in two passes. _natural_skew is the one check of a requested
+size list, which solve_multi, oracle_multi and target_signature share,
+and target_signature the one map from sizes to the target census.
 
 Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
@@ -56,7 +58,7 @@ from itertools import chain, combinations_with_replacement
 from operator import add
 
 from .errors import InfeasibleError, SkewOverrideError
-from .metrics import FailureAggregate, MultiPlacement, Signature, signature_of_sizes
+from .metrics import FailureAggregate, MultiPlacement, _check_int
 # postorder and subtree_stats are not called here, but bench/tracer.py
 # wraps these bindings.
 from .model import FailureModel, Tree, postorder, subtree_stats  # noqa: F401
@@ -285,10 +287,13 @@ def build_phi(m: int, rho: int, delta: int) -> PhiTable:
 
 
 def _natural_skew(sizes: tuple[int, ...]) -> int:
-    """The size spread, but at least 1, after checking the sizes."""
+    """The size spread, but at least 1, after the one check of a size
+    list: it must be non-empty, and every entry an int of at least 1."""
     if not sizes:
         raise InfeasibleError("no block sizes given")
-    if any(s < 1 for s in sizes):
+    for s in sizes:
+        _check_int("block size", s)
+    if min(sizes) < 1:
         raise InfeasibleError("every block size must be at least 1")
     return max(max(sizes) - min(sizes), 1)
 
@@ -318,12 +323,16 @@ def _check_fit(tree: Tree, sizes: tuple[int, ...]) -> None:
         ample -= counts[k]
 
 
-def target_signature(sizes: list[int] | tuple[int, ...]) -> tuple[Signature, int]:
-    """Census of the requested block sizes plus the natural skew bound:
-    the size spread, but at least 1."""
+def target_signature(sizes: list[int] | tuple[int, ...]) -> tuple[Vector, int]:
+    """The census of the requested block sizes, entry k counting the
+    blocks of size max(sizes) - k, and the natural skew bound: the size
+    spread, but at least 1. The census has max(sizes) + 1 entries, so
+    solve_multi asks for it only once the sizes fit the model."""
     sizes = tuple(sizes)
     delta = _natural_skew(sizes)
-    return signature_of_sizes(sizes), delta
+    rho = max(sizes)
+    counts = Counter(sizes)
+    return tuple(counts[rho - k] for k in range(rho + 1)), delta
 
 
 def _signature_domain(m: int, rho: int, delta: int) -> list[Vector]:
@@ -361,7 +370,7 @@ def solve_multi(
     tree = model.tree
     _check_fit(tree, sizes)
     top, capacity = tree.root, tree.capacity
-    target = signature_of_sizes(sizes)
+    target, _ = target_signature(sizes)
 
     # Every aggregate digit counts (node, block) pairs of real nodes, so
     # m * nodes bounds it.
@@ -433,7 +442,7 @@ def solve_multi(
                 acc = merge(acc, table_of[kids[k]])
             table_of[u] = acc
 
-    target_id = kernel.ids.get(kernel.pack(target.entries))
+    target_id = kernel.ids.get(kernel.pack(target))
     value = dict(tables[table_of[top]]).get(target_id)
     if value is None:
         raise InfeasibleError("no multi-placement with the target signature fits this model")

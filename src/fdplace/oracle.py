@@ -81,18 +81,21 @@ def _subsets(
     A depth-first walk with an explicit stack of chosen positions: each
     leaf's path is added to the failure numbers when it is chosen and
     taken off when it is dropped, so the depth never touches the
-    interpreter's recursion limit.
+    interpreter's recursion limit. The path is walked up through parent
+    each time, so no table of root paths is kept.
     """
-    paths = [tree.up(leaf) for leaf in leaves]
     count_by_fn = [0] * (rho + 1)
     count_by_fn[0] = len(tree.ids)
     fn = [0] * len(tree.ids)
+    parent, top = tree.parent, tree.root
 
     def add(i: int, delta: int) -> None:
-        for u in paths[i]:
+        u = leaves[i]
+        while u != top:
             count_by_fn[fn[u]] -= 1
             fn[u] += delta
             count_by_fn[fn[u]] += 1
+            u = parent[u]
 
     chosen: list[int] = []
     nxt = 0  # the next position to try after the chosen ones
@@ -122,7 +125,7 @@ def oracle_multi(
     blocks in non-decreasing subset order).
     """
     sizes = tuple(sizes)
-    _natural_skew(sizes)  # refuses empty or non-positive sizes
+    _natural_skew(sizes)  # refuses the sizes solve_multi refuses
     tree = model.tree
     _check_fit(tree, sizes)
     leaves = _leaves_by_id(tree)

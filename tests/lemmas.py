@@ -1,7 +1,7 @@
 """The paper's definitions that the tests check its lemmas with.
 
-Failure numbers, path aggregates and their shift, sub-signatures,
-the signature statistics, the lexicographic comparison and the band
+Failure numbers, path aggregates and their shift, sub-signatures and
+the Signature census they return, the signature statistics, the lexicographic comparison and the band
 cell count come straight from the paper's proofs; sizes_fit is the
 Gale-Ryser test of whether blocks fit the leaves at all. No solver calls them, so they live here, next to the tests
 that check the paper's identities against the solvers, and not in the
@@ -17,12 +17,30 @@ from fdplace.metrics import (
     FailureAggregate,
     MultiPlacement,
     Placement,
-    Signature,
     _check_girth,
     _counts,
     _leaf_indices,
 )
 from fdplace.model import FailureModel
+from fdplace.value import Value
+
+
+class Signature(Value):
+    """Block-size census: entries[k] counts blocks of size rho - k, the
+    indexing aggregates use for failure counts."""
+
+    __slots__ = ("entries", "rho")
+
+    entries: tuple[int, ...]
+    rho: int
+
+    def __init__(self, entries: tuple[int, ...], rho: int) -> None:
+        if len(entries) != rho + 1:
+            raise ValueError("signature must have rho + 1 entries")
+        super().__init__(entries, rho)
+
+    def __str__(self) -> str:
+        return "<" + ",".join(str(v) for v in self.entries) + ">"
 
 
 def _entries_of(value: object) -> tuple[int, ...]:

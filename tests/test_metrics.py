@@ -11,17 +11,16 @@ from fdplace.metrics import (
     FailureAggregate,
     MultiPlacement,
     Placement,
-    Signature,
     failure_aggregate,
     multi_aggregate,
     parse_multi_placement,
     parse_placement,
-    signature_of_sizes,
 )
 from fdplace.model import parse_model
 
 from conftest import fixture_path
 from lemmas import (
+    Signature,
     failure_number,
     failure_numbers,
     index_extent,
@@ -195,17 +194,6 @@ def test_aggregate_equals_census_sum_on_fixture(shared_tree):
         for i, v in enumerate(sig.entries):
             total[i] += v
     assert tuple(total) == agg.entries
-
-
-def test_signature_of_sizes():
-    sig = signature_of_sizes([3, 3, 2])
-    assert sig.rho == 3
-    assert sig.entries == (2, 1, 0, 0)
-    assert signature_of_sizes([1]).entries == (1, 0)
-    with pytest.raises(ModelError):
-        signature_of_sizes([])
-    with pytest.raises(ModelError):
-        signature_of_sizes([2, -1])
 
 
 def test_sig_stats_and_extent():

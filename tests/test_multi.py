@@ -17,7 +17,7 @@ from fdplace.errors import (
     SkewOverrideError,
 )
 from fdplace.generate import random_model
-from fdplace.metrics import multi_aggregate, signature_of_sizes
+from fdplace.metrics import multi_aggregate
 from fdplace.model import FailureModel, Tree, parse_model, render_model
 from fdplace.multi import (
     MergeKernel,
@@ -152,18 +152,38 @@ def test_phi_supports_rebuild_their_key():
 
 
 def test_target_signature():
-    sig, delta = target_signature((3, 3, 2))
-    assert sig.entries == (2, 1, 0, 0)
-    assert delta == 1
-    sig, delta = target_signature((2, 2))
-    assert sig.entries == (2, 0, 0)
-    assert delta == 1
+    assert target_signature((3, 3, 2)) == ((2, 1, 0, 0), 1)
+    assert target_signature((2, 2)) == ((2, 0, 0), 1)
+    assert target_signature([3, 1, 3, 2]) == ((2, 1, 1, 0), 2)
+    assert target_signature((1,)) == ((1, 0), 1)
     _, delta = target_signature((5, 2, 1))
     assert delta == 4
-    with pytest.raises(InfeasibleError):
-        target_signature(())
-    with pytest.raises(InfeasibleError):
-        target_signature((2, 0))
+
+
+@pytest.mark.parametrize(
+    "sizes, error",
+    [
+        pytest.param(sizes, error, id=repr(sizes))
+        for sizes, error in [
+            ((), InfeasibleError),
+            ((0,), InfeasibleError),
+            ((True, 2), ModelError),
+            ((2.0,), ModelError),
+            (("2",), ModelError),
+            ((2, 2.5), ModelError),
+            ((0, True), ModelError),
+        ]
+    ],
+)
+def test_size_refusals_agree(shared_tree, sizes, error):
+    # solve_multi, the oracle it is tested against and target_signature
+    # share one check of a size list, so each refuses the same way.
+    refusals = []
+    for call in (solve_multi, oracle_multi, lambda _model, sizes: target_signature(sizes)):
+        with pytest.raises(error) as info:
+            call(shared_tree, sizes)
+        refusals.append(str(info.value))
+    assert len(set(refusals)) == 1, refusals
 
 
 def test_solve_multi_matches_oracle_on_shared_tree(shared_tree):
@@ -370,14 +390,6 @@ def test_solve_multi_with_ample_capacity_sums_single_blocks():
         got, witness = solve_multi(model, sizes)
         assert got.entries == tuple(want), (trial, leaves, sizes)
         assert multi_aggregate(model, witness).entries == got.entries
-
-
-def test_signature_of_sizes_round_trip():
-    sig = signature_of_sizes((3, 1, 3, 2))
-    assert sig.entries == (2, 1, 1, 0)
-    assert sig.rho == 3
-    with pytest.raises(ModelError):
-        signature_of_sizes([])
 
 
 def fits(vec, sizes):

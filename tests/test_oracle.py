@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,26 @@ def test_guard_env_override(two_rows, monkeypatch):
     monkeypatch.setenv("FDPLACE_ORACLE_GUARD", "zero")
     with pytest.raises(GuardLimitError):
         oracle_single(two_rows, 3)
+
+
+def test_oracles_keep_no_table_of_root_paths():
+    # A 600-domain caterpillar, one server per domain: a table of every
+    # leaf's root path would hold 180,000 entries, about 1.7 MB traced.
+    # Walking each path up through parent keeps the peak near 0.2 MB.
+    nodes, parent = [], None
+    for i in range(600):
+        nodes += [{"id": f"d{i}", "parent": parent}, {"id": f"d{i}s", "parent": f"d{i}", "capacity": 1}]
+        parent = f"d{i}"
+    model = parse_model(json.dumps({"nodes": nodes}))
+    model.tree.leaf_count
+    for oracle, request in ((oracle_single, 1), (oracle_multi, (1,))):
+        tracemalloc.start()
+        try:
+            oracle(model, request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, (oracle.__name__, peak)
 
 
 def test_oracle_multi_shared_tree(shared_tree):

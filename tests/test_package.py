@@ -102,6 +102,8 @@ def test_lemma_helpers_live_with_the_tests(request, pytestconfig):
             "index_extent",
             "shift",
             "path_aggregate",
+            "Signature",
+            "signature_of_sizes",
         ],
         "fdplace.multi": ["band_cell_count"],
     }

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 
 from fdplace.errors import InfeasibleError, ModelError
 from fdplace.generate import random_model
-from fdplace.metrics import failure_aggregate
+from fdplace.metrics import Placement, failure_aggregate
 from fdplace.model import parse_model
 from fdplace.oracle import check_balanced, oracle_single
 from fdplace import single
@@ -162,6 +163,19 @@ def test_solvers_reject_bad_rho(two_rows, solver):
         solver(two_rows, 0)
     with pytest.raises(InfeasibleError):
         solver(two_rows, 10)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*SOLVERS, oracle_single, lambda model, rho: failure_aggregate(model, Placement(frozenset()), rho)],
+    ids=["solve_basic", "solve_fast", "solve_greedy", "oracle_single", "failure_aggregate"],
+)
+@pytest.mark.parametrize("rho", [2.0, True, "2"], ids=repr)
+def test_rho_must_be_an_int(two_rows, entry, rho):
+    # A float, a bool or a string is refused up front, not by a
+    # TypeError from deep inside the solver.
+    with pytest.raises(ModelError, match=rf"^rho must be an integer, got {re.escape(repr(rho))}$"):
+        entry(two_rows, rho)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

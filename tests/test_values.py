@@ -7,10 +7,12 @@ import pickle
 
 import pytest
 
-from fdplace.metrics import FailureAggregate, MultiPlacement, Placement, Signature
+from fdplace.metrics import FailureAggregate, MultiPlacement, Placement
 from fdplace.model import Node, SubtreeStats
 from fdplace.multi import PhiTable
 from fdplace.oracle import BalanceViolation
+
+from lemmas import Signature
 
 # Two equal instances and an unequal one of each hashable value type,
 # built positionally, by keyword and mixed.
