@@ -33,22 +33,28 @@ from .multi import solve_multi
 from .single import solve_basic, solve_fast, solve_greedy
 
 
-def _read(path: str, what: str) -> tuple[str, bytes]:
-    """The text and the bytes of a file; what names it in a refusal."""
+def _read(path: str, what: str) -> tuple[str, str]:
+    """The text of a file and the sha256 of its bytes; what names it in
+    a refusal. The bytes live only in this call: they are hashed, then
+    decoded, and dropped when it returns."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ModelError(f"cannot read {what}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        return data.decode("utf-8"), data
+        return data.decode("utf-8"), digest
     except UnicodeDecodeError as exc:
         raise ModelError(f"{what} is not UTF-8: {exc}") from exc
 
 
 def _load_model(path: str) -> tuple[FailureModel, str]:
-    text, data = _read(path, "model file")
-    return parse_model(text), hashlib.sha256(data).hexdigest()
+    """The parsed model file and its digest. While parse_model runs,
+    the text and the decoded document are alive, not the bytes; the
+    text is released when this returns."""
+    text, digest = _read(path, "model file")
+    return parse_model(text), digest
 
 
 def _parse_sizes(raw: str) -> list[int]:

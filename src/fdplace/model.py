@@ -13,7 +13,12 @@ preserved and used as the child order everywhere downstream.
 
 parse_model checks the entries in one pass, in file order, and
 compiles them into a Tree, flat lists indexed by file position, which
-the solvers work on. Parsing links the nodes and orders them bottom
+the solvers work on. Beside the text, which its caller holds, parsing
+keeps one form of the input alive at a time: json.loads decodes the
+text into a document; the entry loop releases each entry once its
+fields are stored, so the document shrinks while the id index and the
+per-node lists grow; and the document is gone before the tree is built
+from those lists. Parsing links the nodes and orders them bottom
 up; the three subtree summaries (leaf counts and shallowest leaves)
 that only the single-block solvers and the oracles read are computed
 the first time one of them is read.
@@ -261,8 +266,11 @@ def parse_model(text: str) -> FailureModel:
     cycles, or an empty model. The first problem in file order is
     reported, entry checks first, then parents, leaves and cycles.
     Parsing computes no subtree summary (see Tree).
+
+    The text stays alive for the whole call. The document decoded from
+    it belongs to this call: _entries empties it entry by entry, and it
+    is freed before _compile runs.
     """
-    # The decoded document is freed before the tree is compiled.
     return FailureModel(tree=_compile(*_entries(decode_json(text))))
 
 
@@ -273,6 +281,8 @@ def _entries(doc: object) -> Entries:
     """Check the document, then its node entries one by one in file
     order; returns their ids, an id -> position index, their parent ids
     and their capacities (0 for none). The first problem is reported.
+    Each entry of the nodes array is replaced by None once its fields
+    are stored, so the caller hands over a document it no longer reads.
 
     A sound entry meets only cheap tests: JSON decoding gives exactly
     dict, str and int, so exact class tests suffice (a bool capacity
@@ -312,6 +322,7 @@ def _entries(doc: object) -> Entries:
             raise ModelError(f"capacity of {node_id!r} must be positive")
         parents[i] = parent
         capacity[i] = cap or 0
+        raw_nodes[i] = None
     # The ids are unique, so the index lists them in file order.
     return list(index), index, parents, capacity
 

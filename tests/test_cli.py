@@ -5,11 +5,15 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Callable
 
 import pytest
 
+from fdplace import cli
 from fdplace.cli import main
-from fdplace.model import Node
+from fdplace.generate import random_model
+from fdplace.model import Node, parse_model, render_model
 
 from conftest import fixture_path as _fixture_path
 from conftest import load_model
@@ -239,13 +243,92 @@ def test_oracle_commands_match_solvers(capsys):
     assert report["objective"] == solved["objective"]
 
 
-def test_bad_model_file_exits_2(capsys, tmp_path):
-    code, _out, err = run_cli(capsys, "solve-single", "/no/such/file.json", "--rho", "1")
-    assert code == 2 and "error:" in err
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    code, _out, _err = run_cli(capsys, "solve-single", str(broken), "--rho", "1")
-    assert code == 2
+MODEL_COMMANDS = (
+    ("solve-single", "--rho", "1"),
+    ("solve-multi", "--sizes", "1"),
+    ("eval", "--placement", "unused.json"),
+    ("check", "--placement", "unused.json"),
+    ("oracle-single", "--rho", "1"),
+    ("oracle-multi", "--sizes", "1"),
+)
+
+# (file name, its bytes or None for no file, the stderr line; {path} is
+# the file's path).
+BAD_MODEL_FILES = (
+    (
+        "missing.json",
+        None,
+        "error: cannot read model file: [Errno 2] No such file or directory: {path!r}",
+    ),
+    (
+        "latin.json",
+        b'{"nodes": [{"id": "\xff"}]}',
+        "error: model file is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 19: invalid start byte",
+    ),
+    (
+        "broken.json",
+        b"{not json",
+        "error: invalid JSON: Expecting property name enclosed in double quotes:"
+        " line 1 column 2 (char 1)",
+    ),
+    ("empty.json", b'{"nodes": []}', "error: model has no nodes"),
+)
+
+
+@pytest.mark.parametrize(
+    ("name", "data", "line"), BAD_MODEL_FILES, ids=[case[0] for case in BAD_MODEL_FILES]
+)
+def test_bad_model_file_exits_2(capsys, tmp_path, name, data, line):
+    path = tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    for command, option, value in MODEL_COMMANDS:
+        code, out, err = run_cli(capsys, command, str(path), option, value)
+        assert (code, out, err) == (2, "", line.format(path=str(path)) + "\n"), command
+
+
+def test_model_digest_is_the_sha256_of_the_file_bytes(capsys, tmp_path):
+    # Ids outside ASCII take two, three and four bytes in UTF-8, so the
+    # digest of the decoded text re-encoded some other way would differ.
+    doc = {
+        "nodes": [
+            {"id": "日本", "parent": None},
+            {"id": "é", "parent": "日本", "capacity": 1},
+            {"id": "\U0001f5c4", "parent": "日本", "capacity": 2},
+            {"id": "ß", "parent": None, "capacity": 1},
+        ]
+    }
+    path = tmp_path / "unicode.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    report = run_json(capsys, "solve-single", str(path), "--rho", "2")
+    assert report["model_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert report["witness"]["leaves"] == sorted(["ß", "é"])
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[int, object]:
+    """The peak of the memory traced while call runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_a_model_keeps_one_copy_of_it(tmp_path):
+    # The bytes are dropped once hashed and decoded, and each node entry
+    # once its fields are stored, so loading peaks little above the
+    # decoded document itself (about 1.2 times it; 1.5 while the bytes
+    # and every entry stayed alive).
+    path = tmp_path / "model.json"
+    path.write_text(render_model(random_model(20_000, 1)), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    decoded, _doc = traced_peak(lambda: json.loads(text))
+    loaded, (model, digest) = traced_peak(lambda: cli._load_model(str(path)))
+    assert loaded <= 1.3 * decoded, (loaded, decoded)
+    assert vars(model.tree) == vars(parse_model(text).tree)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_gen_is_deterministic(capsys, tmp_path):

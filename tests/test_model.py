@@ -430,7 +430,8 @@ def test_parse_accepts_null_capacity_inside_and_huge_capacity_on_leaves():
 def checked_parse(entries: list) -> Tree:
     """parse_model's checks one at a time: the per-entry loop, then the
     first unknown parent in file order, then the rest of _compile."""
-    ids, index, parents, capacity = _entries({"nodes": entries})
+    # _entries releases each entry of the list it is handed.
+    ids, index, parents, capacity = _entries({"nodes": list(entries)})
     for u, p in enumerate(parents):
         if p is not None and p not in index:
             raise ModelError(f"node {ids[u]!r} has unknown parent {p!r}")
