@@ -113,9 +113,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             found = parse_multi_placement(_read(args.blocks, "file")[0])
             return multi_aggregate(model, found), found
         found = parse_placement(_read(args.placement, "file")[0])
-        leaves = model.tree.leaf_total
-        if args.rho is not None and args.rho > leaves:
-            raise ModelError(f"rho={args.rho} exceeds the {leaves} leaves of the model")
         rho = args.rho if args.rho is not None else len(found.leaves)
         return failure_aggregate(model, found, rho), found
 

@@ -8,11 +8,16 @@ safer.
 
 The module holds the value types (FailureAggregate, Placement,
 MultiPlacement), the placement parsers, the two evaluators,
-failure_aggregate and multi_aggregate, and _check_int, the rule that
-rho and every block size are ints. multi.target_signature maps block
-sizes to their census. The paper's lemma helpers (failure numbers,
-path aggregates, sub-signatures and the Signature census they return)
-live with the tests that use them, in tests/lemmas.py.
+failure_aggregate and multi_aggregate, and every rho rule: _check_int
+(rho, block sizes, a skew and an oracle guard are ints), _check_rho
+(the solvers' and oracle_single's bounds, at least 1 and at most the
+leaf count), _check_girth (an evaluated rho holds the placement) and
+failure_aggregate's leaf bound, tested once the placement's leaves
+resolve and before its rho + 1 entries are allocated.
+multi.target_signature maps block sizes to their census. The paper's
+lemma helpers (failure numbers, path aggregates, sub-signatures and the
+Signature census they return) live with the tests that use them, in
+tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Collection
 
-from .errors import ModelError
+from .errors import InfeasibleError, ModelError
 # postorder is not called here, but bench/tracer.py wraps this binding.
 from .model import FailureModel, Tree, decode_json, postorder  # noqa: F401
 from .value import Value
@@ -128,6 +133,14 @@ def _check_int(what: str, value: object) -> None:
         raise ModelError(f"{what} must be an integer, got {value!r}")
 
 
+def _check_rho(tree: Tree, rho: int) -> None:
+    _check_int("rho", rho)
+    if rho < 1:
+        raise InfeasibleError(f"rho must be at least 1, got {rho}")
+    if rho > tree.leaf_total:
+        raise InfeasibleError(f"rho={rho} exceeds the {tree.leaf_total} available leaves")
+
+
 def _check_girth(placement: Placement, rho: int) -> None:
     _check_int("rho", rho)
     if rho < len(placement.leaves):
@@ -138,8 +151,13 @@ def _check_girth(placement: Placement, rho: int) -> None:
 
 def failure_aggregate(model: FailureModel, placement: Placement, rho: int) -> FailureAggregate:
     _check_girth(placement, rho)
+    leaves = _leaf_indices(model.tree, placement.leaves)
+    # Once the leaves resolve, so an unknown or internal id is named
+    # first, and before the rho + 1 entries are allocated.
+    if rho > model.tree.leaf_total:
+        raise ModelError(f"rho={rho} exceeds the {model.tree.leaf_total} leaves of the model")
     entries = [0] * (rho + 1)
-    _aggregate(model.tree, _leaf_indices(model.tree, placement.leaves), entries)
+    _aggregate(model.tree, leaves, entries)
     return FailureAggregate(entries=tuple(entries), rho=rho)
 
 

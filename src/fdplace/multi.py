@@ -358,6 +358,7 @@ def solve_multi(
     m = len(sizes)
     rho = max(sizes)
     if skew is not None:
+        _check_int("skew", skew)
         if skew < natural:
             raise SkewOverrideError(
                 f"skew {skew} is below the natural bound {natural} for these sizes"

@@ -4,6 +4,10 @@ These enumerate every candidate placement, so they are the ground truth
 the real solvers are tested against. Both refuse to run when the search
 space exceeds a guard bound (default one million candidates, overridable
 via the FDPLACE_ORACLE_GUARD environment variable or the guard argument).
+The guard counts candidate placements, not the root-path steps each one
+costs, so a deep chain with few candidates passes it and still runs for
+a long time: a 50,000-domain caterpillar at rho 1 is 50,000 candidates
+but about 1.25e9 steps.
 """
 
 from __future__ import annotations
@@ -15,31 +19,33 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .errors import GuardLimitError, InfeasibleError
-from .metrics import FailureAggregate, MultiPlacement, Placement, _counts, _leaf_indices
+from .metrics import FailureAggregate, MultiPlacement, Placement
+from .metrics import _check_int, _check_rho, _counts, _leaf_indices
 from .model import FailureModel, Tree
 from .multi import _check_fit, _natural_skew
-from .single import _check_rho, _leaves_by_id, _placement
+from .single import _leaves_by_id, _placement
 from .value import Value
 
 DEFAULT_GUARD = 1_000_000
 
 
-def _resolve_guard(guard: int | None) -> int:
-    """The guard argument, else FDPLACE_ORACLE_GUARD, else the default;
-    a guard from either source must be a positive integer."""
-    if guard is not None:
-        source, raw = "guard", guard
-    else:
-        source, raw = "FDPLACE_ORACLE_GUARD", os.environ.get("FDPLACE_ORACLE_GUARD")
-        if raw is None:
-            return DEFAULT_GUARD
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise GuardLimitError(f"{source} is not an integer: {raw!r}") from exc
-    if value < 1:
+def _check_guard(space: int, guard: int | None) -> None:
+    """Refuse a search space of more candidates than the guard: the guard
+    argument, else FDPLACE_ORACLE_GUARD, else the default. The argument
+    must be an int, the variable an integer string, and either positive."""
+    source, raw = "guard", guard
+    if guard is None:
+        source = "FDPLACE_ORACLE_GUARD"
+        raw = os.environ.get(source, str(DEFAULT_GUARD))
+        try:
+            guard = int(raw)
+        except ValueError as exc:
+            raise GuardLimitError(f"{source} is not an integer: {raw!r}") from exc
+    _check_int("guard", guard)
+    if guard < 1:
         raise GuardLimitError(f"{source} must be positive: {raw!r}")
-    return value
+    if space > guard:
+        raise GuardLimitError(f"search space {space} exceeds guard {guard}")
 
 
 def oracle_single(
@@ -53,10 +59,7 @@ def oracle_single(
     tree = model.tree
     _check_rho(tree, rho)
     leaves = _leaves_by_id(tree)
-    space = math.comb(len(leaves), rho)
-    limit = _resolve_guard(guard)
-    if space > limit:
-        raise GuardLimitError(f"search space {space} exceeds guard {limit}")
+    _check_guard(math.comb(len(leaves), rho), guard)
 
     best: tuple[int, ...] | None = None
     optima: list[tuple[int, ...]] = []
@@ -139,9 +142,7 @@ def oracle_multi(
     space = math.prod(
         math.comb(math.comb(len(leaves), s) + k - 1, k) for s, k in Counter(sizes).items()
     )
-    limit = _resolve_guard(guard)
-    if space > limit:
-        raise GuardLimitError(f"search space {space} exceeds guard {limit}")
+    _check_guard(space, guard)
 
     catalogs = {s: list(_subsets(tree, leaves, s, rho)) for s in set(ordered_sizes)}
     cw_min = {

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from .errors import InfeasibleError, ModelError
-from .metrics import FailureAggregate, Placement, _check_int
+from .metrics import FailureAggregate, Placement, _check_rho
 # postorder is not called here, but bench/tracer.py wraps this binding.
 from .model import FailureModel, Tree, postorder  # noqa: F401
 
@@ -177,14 +177,6 @@ def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int], out: li
     for hist in hists:
         for f in numbers:
             hist[f] += 1
-
-
-def _check_rho(tree: Tree, rho: int) -> None:
-    _check_int("rho", rho)
-    if rho < 1:
-        raise InfeasibleError(f"rho must be at least 1, got {rho}")
-    if rho > tree.leaf_total:
-        raise InfeasibleError(f"rho={rho} exceeds the {tree.leaf_total} available leaves")
 
 
 def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:

@@ -12,8 +12,13 @@ import pytest
 
 from fdplace import cli
 from fdplace.cli import main
+from fdplace.errors import GuardLimitError, InfeasibleError, ModelError, SkewOverrideError
 from fdplace.generate import random_model
+from fdplace.metrics import failure_aggregate, parse_placement
 from fdplace.model import Node, parse_model, render_model
+from fdplace.multi import solve_multi
+from fdplace.oracle import oracle_single
+from fdplace.single import solve_fast
 
 from conftest import fixture_path as _fixture_path
 from conftest import load_model
@@ -228,6 +233,41 @@ def test_oracle_guard_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("FDPLACE_ORACLE_GUARD", "1")
     code, _out, _err = run_cli(capsys, "oracle-single", model, "--rho", "3")
     assert code == 3
+
+
+# The exit code main gives each refusal type.
+EXIT_CODES = {ModelError: 2, InfeasibleError: 3, GuardLimitError: 3, SkewOverrideError: 4}
+
+
+def test_cli_refuses_what_the_library_refuses(capsys, tmp_path):
+    # Each request has one rule, in the library: the CLI exits with the
+    # code of the exception the library call raises, and prints it.
+    model_path = fixture_path("two_rows.json")
+    model = load_model("two_rows.json")
+    spread_path = fixture_path("two_rows_spread.json")
+    spread = parse_placement(_fixture_path("two_rows_spread.json").read_text())
+    table = [
+        (["solve-single", "--rho", "0"], lambda: solve_fast(model, 0)),
+        (["solve-single", "--rho", "10"], lambda: solve_fast(model, 10)),
+        (["eval", "--placement", spread_path, "--rho", "10"],
+         lambda: failure_aggregate(model, spread, 10)),
+        (["eval", "--placement", spread_path, "--rho", "2"],
+         lambda: failure_aggregate(model, spread, 2)),
+        (["solve-multi", "--sizes", "3,1", "--skew", "1"],
+         lambda: solve_multi(model, [3, 1], skew=1)),
+        (["oracle-single", "--rho", "3", "--guard", "1"],
+         lambda: oracle_single(model, 3, guard=1)),
+    ]
+    for (command, *options), call in table:
+        with pytest.raises(tuple(EXIT_CODES)) as refused:
+            call()
+        expected = (EXIT_CODES[type(refused.value)], "", f"error: {refused.value}\n")
+        assert run_cli(capsys, command, model_path, *options) == expected, command
+    # Above the leaf count, a placement refused anyway names its own fault.
+    ghost_path = tmp_path / "ghost.json"
+    ghost_path.write_text('{"leaves": ["srv1", "ghost"]}', encoding="utf-8")
+    refused = run_cli(capsys, "eval", model_path, "--placement", str(ghost_path), "--rho", "10")
+    assert refused == (2, "", "error: placement names unknown node 'ghost'\n")
 
 
 def test_oracle_commands_match_solvers(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -105,7 +106,7 @@ def test_aggregate_entries_sum_to_node_count():
         pool = sorted(model.leaves)
         k = rng.randint(1, len(pool))
         placement = Placement(leaves=frozenset(rng.sample(pool, k)))
-        rho = rng.randint(k, k + 3)
+        rho = rng.randint(k, min(k + 3, len(pool)))  # failure_aggregate refuses more
         agg = failure_aggregate(model, placement, rho)
         assert sum(agg.entries) == len(model)
         assert agg.entries[rho - k] >= 1  # the root region holds all k
@@ -114,6 +115,20 @@ def test_aggregate_entries_sum_to_node_count():
 def test_aggregate_rejects_rho_below_placement_size(two_rows):
     with pytest.raises(ModelError):
         failure_aggregate(two_rows, placement_of("srv1", "srv2"), 1)
+
+
+def test_aggregate_refuses_rho_above_the_leaves_before_allocating(two_rows):
+    # The bound is tested before the rho + 1 entries exist: scoring the
+    # placement at rho 10**7 peaked at 160 MB while it was unchecked.
+    spread = placement_of("srv4", "srv6", "srv7")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=r"^rho=10000000 exceeds the 9 leaves of the model$"):
+            failure_aggregate(two_rows, spread, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_parse_placement():
@@ -234,7 +249,7 @@ def test_single_step_update_identity():
         chosen = rng.sample(pool, k)
         rest = [leaf for leaf in pool if leaf not in chosen]
         new_leaf = rng.choice(rest)
-        rho = rng.randint(k + 1, k + 3)
+        rho = rng.randint(k + 1, min(k + 3, len(pool)))
         before = failure_aggregate(model, Placement(leaves=frozenset(chosen)), rho)
         root = model.roots[0]
         s = path_aggregate(model, root, new_leaf, Placement(leaves=frozenset(chosen)), rho)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -227,6 +228,14 @@ def test_solve_multi_skew_override(shared_tree):
     assert lex_cmp(wide.entries, base.entries) <= 0
     huge, _ = solve_multi(shared_tree, (3, 3, 2), skew=50)
     assert lex_cmp(huge.entries, wide.entries) <= 0
+
+
+@pytest.mark.parametrize("skew", [2.0, True, "3"], ids=repr)
+def test_skew_must_be_an_int(shared_tree, skew):
+    # Refused up front: a float is not rounded, a bool is not 1, and a
+    # string raises no TypeError from the comparison.
+    with pytest.raises(ModelError, match=rf"^skew must be an integer, got {re.escape(repr(skew))}$"):
+        solve_multi(shared_tree, (3, 3, 2), skew=skew)
 
 
 def test_solve_multi_infeasible_cases(shared_tree):

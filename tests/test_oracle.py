@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 
 import pytest
 
-from fdplace.errors import GuardLimitError, InfeasibleError
+from fdplace.errors import GuardLimitError, InfeasibleError, ModelError
 from fdplace.generate import random_model
 from fdplace.metrics import MultiPlacement, Placement, failure_aggregate, multi_aggregate
 from fdplace.model import parse_model, subtree_stats
@@ -52,6 +53,19 @@ def test_oracle_single_guard_and_bounds(two_rows):
     for guard in (0, -3):
         with pytest.raises(GuardLimitError, match="guard must be positive"):
             oracle_single(two_rows, 3, guard=guard)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [lambda model, guard: oracle_single(model, 3, guard=guard),
+     lambda model, guard: oracle_multi(model, (2, 1), guard=guard)],
+    ids=["oracle_single", "oracle_multi"],
+)
+@pytest.mark.parametrize("guard", ["5", 2.5, True], ids=repr)
+def test_guard_must_be_an_int(two_rows, oracle, guard):
+    # Not read as int(guard), which gave 5, 2 and 1.
+    with pytest.raises(ModelError, match=rf"^guard must be an integer, got {re.escape(repr(guard))}$"):
+        oracle(two_rows, guard)
 
 
 def test_guard_env_override(two_rows, monkeypatch):
