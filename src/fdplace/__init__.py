@@ -48,9 +48,9 @@ def __getattr__(name: str) -> object:
     home = _HOMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{home}"), name)
+    # __import__ takes the import statement's path, which -X importtime
+    # reports; importlib.import_module does not.
+    value = getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

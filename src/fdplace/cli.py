@@ -15,9 +15,13 @@ import sys
 import time
 from collections.abc import Callable
 
-# oracle and generate are imported by the commands that use them, so the
-# solve and eval commands do not load them. The solvers stay imported
-# here: bench/tracer.py wraps this module's bindings of them.
+# Each command loads only the modules it runs. The four solvers load on
+# the first read of their name in this module (PEP 562, __getattr__
+# below), and oracle and generate are imported by the commands that use
+# them, so eval and check load no solver, solve-single only single and
+# solve-multi only multi. A solver stays bound here once read:
+# bench/tracer.py wraps these bindings, and the solve commands call
+# whatever they hold.
 from .errors import GuardLimitError, InfeasibleError, ModelError, SkewOverrideError
 from .metrics import (
     FailureAggregate,
@@ -29,8 +33,24 @@ from .metrics import (
     parse_placement,
 )
 from .model import FailureModel, parse_model, render_model
-from .multi import solve_multi
-from .single import solve_basic, solve_fast, solve_greedy
+
+_SOLVERS = frozenset(("solve_basic", "solve_fast", "solve_greedy", "solve_multi"))
+
+
+def __getattr__(name: str) -> object:
+    """A solver, loaded through the package root, which knows its
+    module, and bound here from then on."""
+    if name not in _SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+def _solver(name: str) -> Callable:
+    """This module's binding of a solver, loading its module first if
+    nothing has read it yet."""
+    return globals().get(name) or __getattr__(name)
 
 
 def _read(path: str, what: str) -> tuple[str, str]:
@@ -95,12 +115,13 @@ def _run(args: argparse.Namespace, solve: Solve) -> int:
 
 
 def _cmd_solve_single(args: argparse.Namespace) -> int:
-    solvers = {"basic": solve_basic, "fast": solve_fast, "greedy": solve_greedy}
-    return _run(args, lambda model: solvers[args.algorithm](model, args.rho))
+    solve = _solver(f"solve_{args.algorithm}")
+    return _run(args, lambda model: solve(model, args.rho))
 
 
 def _cmd_solve_multi(args: argparse.Namespace) -> int:
-    return _run(args, lambda model: solve_multi(model, _parse_sizes(args.sizes), skew=args.skew))
+    solve = _solver("solve_multi")
+    return _run(args, lambda model: solve(model, _parse_sizes(args.sizes), skew=args.skew))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -19,9 +19,12 @@ text into a document; the entry loop releases each entry once its
 fields are stored, so the document shrinks while the id index and the
 per-node lists grow; and the document is gone before the tree is built
 from those lists. Parsing links the nodes and orders them bottom
-up; the three subtree summaries (leaf counts and shallowest leaves)
-that only the single-block solvers and the oracles read are computed
-the first time one of them is read.
+up. Two groups of per-node lists are built the first time one of
+their members is read: the child index (first and kids), which the
+solvers, the balance check and the id-keyed views read, and the three
+subtree summaries (leaf counts and shallowest leaves), which only the
+single-block solvers and the oracles read. eval reads neither group:
+its aggregates walk up from the placed leaves through parent.
 The id-keyed surface (nodes, children, roots, leaves, subtree_stats,
 postorder) is derived from the tree on first use, subtree_stats
 counting the nodes below each node itself; per-node facts (parent,
@@ -49,22 +52,32 @@ FIELDS = frozenset(("id", "parent", "capacity"))
 Node = namedtuple("Node", ("id", "parent", "capacity"))
 
 
-class _Summary:
-    """A subtree summary of Tree. Its first read runs Tree._summarize,
-    which sets all three as plain attributes that hide this descriptor.
+class _Lazy:
+    """A per-node list of Tree built on first read. That read runs the
+    Tree method named fill, which sets this list and the others it
+    builds with it as plain attributes that hide this descriptor.
     (functools.cached_property would store them through the instance
     __dict__, and on CPython 3.11 and 3.12 that makes every later
-    attribute read of the tree about three times slower, kids and first
-    included.)"""
+    attribute read of the tree about three times slower.)"""
+
+    def __init__(self, fill: str) -> None:
+        self.fill = fill
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
-    def __get__(self, tree: Tree | None, owner: type | None = None) -> list[int] | _Summary:
+    def __get__(self, tree: Tree | None, owner: type | None = None) -> list[int] | _Lazy:
         if tree is None:
             return self
-        tree._summarize()
+        getattr(tree, self.fill)()
         return getattr(tree, self.name)
+
+
+def _child_index(parent: list[int], counts: list[int]) -> tuple[list[int], list[int]]:
+    """first and kids from the parent links and the child counts, n
+    included: each node's children, in file order, form one run of
+    kids."""
+    return list(accumulate(counts, initial=0)), sorted(range(len(parent)), key=parent.__getitem__)
 
 
 class Tree:
@@ -75,11 +88,14 @@ class Tree:
     are kids[first[u]:first[u + 1]]. bottom_up lists the real nodes,
     each after all of its descendants.
 
-    The three subtree summaries, per node, n included, are computed by
-    one pass over bottom_up the first time one of them is read:
-    leaf_count counts its subtree's leaves; its shallowest leaf is
-    min_depth_leaf (first in child order on ties), min_rel_depth below
-    it. leaf_total, the number of leaves, needs no such pass.
+    first and kids are built together the first time one of them is
+    read, unless parsing had to build them to order the nodes (see
+    _compile); eval never reads them. The three subtree summaries, per
+    node, n included, are computed by one pass over bottom_up the first
+    time one of them is read: leaf_count counts its subtree's leaves;
+    its shallowest leaf is min_depth_leaf (first in child order on
+    ties), min_rel_depth below it. leaf_total, the number of leaves,
+    needs no such pass.
     """
 
     def __init__(
@@ -88,27 +104,34 @@ class Tree:
         index: dict[str, int],
         parent: list[int],
         capacity: list[int],
-        first: list[int],
-        kids: list[int],
         bottom_up: Sequence[int],
         leaf_total: int,
+        child_index: tuple[list[int], list[int]] | None = None,
     ) -> None:
         self.ids = ids
         self.index = index
         self.parent = parent
         self.capacity = capacity
-        self.first = first
-        self.kids = kids
         self.bottom_up = bottom_up
         self.leaf_total = leaf_total
+        if child_index is not None:
+            self.first, self.kids = child_index
 
     @property
     def root(self) -> int:
         return len(self.ids)
 
-    leaf_count = _Summary()
-    min_rel_depth = _Summary()
-    min_depth_leaf = _Summary()
+    first = _Lazy("_index")
+    kids = _Lazy("_index")
+    leaf_count = _Lazy("_summarize")
+    min_rel_depth = _Lazy("_summarize")
+    min_depth_leaf = _Lazy("_summarize")
+
+    def _index(self) -> None:
+        counts = [0] * (len(self.ids) + 1)
+        for p in self.parent:
+            counts[p] += 1
+        self.first, self.kids = _child_index(self.parent, counts)
 
     def _summarize(self) -> None:
         n, parent = len(self.ids), self.parent
@@ -170,28 +193,27 @@ def _compile(ids: list[str], index: dict[str, int], parents: list, capacity: lis
                 raise ModelError(f"leaf {ids[u]!r} has capacity but also children")
             if not capacity[u] and not counts[u]:
                 raise ModelError(f"childless node {ids[u]!r} has no capacity")
-    first = list(accumulate(counts, initial=0))
-    kids = sorted(range(n), key=parent.__getitem__)
+    leaf_total = n - capacity.count(0)
 
     # Reverse file order is bottom up when every parent precedes its
     # children, as in every generated or rendered file; then parent
-    # links cannot cycle either. Otherwise a walk from the roots orders
-    # the nodes, and whatever it cannot reach lies on a parent cycle.
-    bottom_up: Sequence[int]
+    # links cannot cycle either, and the child index waits for its
+    # first read. Otherwise a walk from the roots, which needs the
+    # index, orders the nodes, and whatever it cannot reach lies on a
+    # parent cycle.
     if sum(map(lt, parent, range(n))) == n - counts[n]:
-        bottom_up = range(n - 1, -1, -1)
-    else:
-        order: list[int] = []
-        stack = kids[first[n] :][::-1]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(kids[first[u] : first[u + 1]]))
-        if len(order) != n:
-            raise ModelError("model contains a parent cycle unreachable from any root")
-        order.reverse()
-        bottom_up = order
-    return Tree(ids, index, parent, capacity, first, kids, bottom_up, n - capacity.count(0))
+        return Tree(ids, index, parent, capacity, range(n - 1, -1, -1), leaf_total)
+    first, kids = child_index = _child_index(parent, counts)
+    order: list[int] = []
+    stack = kids[first[n] :][::-1]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(kids[first[u] : first[u + 1]]))
+    if len(order) != n:
+        raise ModelError("model contains a parent cycle unreachable from any root")
+    order.reverse()
+    return Tree(ids, index, parent, capacity, order, leaf_total, child_index)
 
 
 class FailureModel:

@@ -22,8 +22,6 @@ from .errors import GuardLimitError, InfeasibleError
 from .metrics import FailureAggregate, MultiPlacement, Placement
 from .metrics import _check_int, _check_rho, _counts, _leaf_indices
 from .model import FailureModel, Tree
-from .multi import _check_fit, _natural_skew
-from .single import _leaves_by_id, _placement
 from .value import Value
 
 DEFAULT_GUARD = 1_000_000
@@ -56,6 +54,9 @@ def oracle_single(
     Returns the optimal aggregate together with every placement that
     achieves it, in lexicographic order of the sorted leaf-id tuples.
     """
+    # Imported here, so check_balanced loads no solver module.
+    from .single import _leaves_by_id, _placement
+
     tree = model.tree
     _check_rho(tree, rho)
     leaves = _leaves_by_id(tree)
@@ -127,6 +128,9 @@ def oracle_multi(
     largest size first, subsets in lexicographic order, equal-size
     blocks in non-decreasing subset order).
     """
+    from .multi import _check_fit, _natural_skew
+    from .single import _leaves_by_id
+
     sizes = tuple(sizes)
     _natural_skew(sizes)  # refuses the sizes solve_multi refuses
     tree = model.tree

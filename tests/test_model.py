@@ -324,6 +324,47 @@ def test_subtree_summaries_wait_for_their_first_read(call, seed):
     assert tree.leaf_total == tree.leaf_count[tree.root] == len(model.leaves)
 
 
+def index_from_parents(tree: Tree) -> tuple[list[int], list[int]]:
+    """first and kids by their definition: each node's children in file
+    order, the virtual root's included, one run after another."""
+    below: list[list[int]] = [[] for _ in range(len(tree.ids) + 1)]
+    for u, p in enumerate(tree.parent):
+        below[p].append(u)
+    first, kids = [0], []
+    for run in below:
+        kids += run
+        first.append(len(kids))
+    return first, kids
+
+
+CHILD_INDEX = ("first", "kids")
+# Models in file order, so parsing leaves the child index unbuilt, and
+# one whose children come before their parents, so the walk that
+# orders them builds it.
+INDEX_CASES = {
+    "forest": (lambda: parse_model(render_model(generated(120, 4, roots=3, max_capacity=2))), False),
+    "hand built": (hand_built, False),
+    "shuffled": (lambda: generated(120, 2, shuffle=True, roots=2, max_fanout=5), True),
+}
+
+
+@pytest.mark.parametrize("call", ["failure_aggregate", "multi_aggregate"])
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_child_index_waits_for_its_first_read(call, case):
+    build, walked = INDEX_CASES[case]
+    model = build()
+    NO_SUMMARIES[call](model)
+    tree = model.tree
+    assert (vars(tree).keys() >= set(CHILD_INDEX)) is walked
+    if not walked:
+        assert not vars(tree).keys() & set(CHILD_INDEX)
+    # Reading either list builds both.
+    kids = tree.kids
+    assert vars(tree).keys() >= set(CHILD_INDEX)
+    assert (tree.first, kids) == index_from_parents(tree)
+    assert not vars(tree).keys() & set(SUMMARIES)
+
+
 def test_subtree_stats_node_counts_and_depths(two_rows):
     stats = subtree_stats(two_rows)
     assert stats.node_count["row1"] == 7

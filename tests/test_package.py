@@ -1,6 +1,6 @@
-"""The package root's API, what importing it loads, the bindings the
-benchmark tracer wraps, the helpers that moved out of the package, and
-the accessors that no caller used."""
+"""The package root's API, what importing it and each command loads,
+the bindings the benchmark tracer wraps, the helpers that moved out of
+the package, and the accessors that no caller used."""
 
 from __future__ import annotations
 
@@ -33,11 +33,13 @@ import fdplace
 root = set(sys.modules) - before
 import fdplace.cli
 cli = set(sys.modules) - before
+import fdplace.oracle
+oracle = set(sys.modules) - before
 lazy = [name for name in fdplace.__all__ if name not in vars(fdplace)]
 star = {}
 exec("from fdplace import *", star)
 print(json.dumps({
-    "root": sorted(root), "cli": sorted(cli), "lazy": lazy,
+    "root": sorted(root), "cli": sorted(cli), "oracle": sorted(oracle), "lazy": lazy,
     "dir": dir(fdplace), "star": sorted(name for name in star if name != "__builtins__"),
 }))
 """
@@ -124,17 +126,90 @@ def test_import_footprint():
         [sys.executable, "-S", "-c", FOOTPRINT], env=env, capture_output=True, text=True, check=True
     ).stdout
     got = json.loads(out)
-    # A bare import loads no solver module, and the CLI neither the
-    # oracles, the generator nor dataclasses.
+    # A bare import loads no solver module, and the CLI neither a
+    # solver, the oracles, the generator nor dataclasses. The oracle
+    # module loads no solver either: check_balanced needs none.
     assert {m for m in got["root"] if m.startswith("fdplace")} == {"fdplace", "fdplace.errors"}
-    for module in ("dataclasses", "fdplace.oracle", "fdplace.generate"):
+    for module in ("dataclasses", "fdplace.single", "fdplace.multi", "fdplace.oracle", "fdplace.generate"):
         assert module not in got["cli"], module
+    for module in ("fdplace.single", "fdplace.multi"):
+        assert module not in got["oracle"], module
     # Every name but the exception types loads on first use, and both
     # dir() and a star import see them all.
     errors = {"GuardLimitError", "InfeasibleError", "ModelError", "SkewOverrideError"}
     assert set(got["lazy"]) == set(fdplace.__all__) - errors
     assert set(fdplace.__all__) <= set(got["dir"])
     assert set(got["star"]) == set(fdplace.__all__)
+
+
+# Runs one command through cli.main, then prints its exit code and the
+# solver modules loaded on the last line.
+COMMAND = """
+import json, sys
+from fdplace import cli
+code = cli.main(sys.argv[1:])
+solvers = [m for m in ("fdplace.single", "fdplace.multi", "fdplace.oracle") if m in sys.modules]
+print(json.dumps([code, solvers]))
+"""
+
+FIXTURES = ROOT / "fixtures"
+TWO_ROWS, SHARED = str(FIXTURES / "two_rows.json"), str(FIXTURES / "shared_tree.json")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["eval", TWO_ROWS, "--placement", str(FIXTURES / "two_rows_spread.json")], []),
+        (["eval", SHARED, "--blocks", str(FIXTURES / "shared_tree_blocks.json")], []),
+        (["check", TWO_ROWS, "--placement", str(FIXTURES / "two_rows_spread.json")], ["fdplace.oracle"]),
+        (["solve-single", TWO_ROWS, "--rho", "3"], ["fdplace.single"]),
+        (["solve-single", TWO_ROWS, "--rho", "3", "--algorithm", "basic"], ["fdplace.single"]),
+        (["solve-single", TWO_ROWS, "--rho", "3", "--algorithm", "greedy"], ["fdplace.single"]),
+        (["solve-multi", SHARED, "--sizes", "3,3,2"], ["fdplace.multi"]),
+    ],
+)
+def test_each_command_loads_only_the_solver_it_runs(argv, loaded):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", COMMAND, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+
+def test_tracer_wraps_the_solvers_the_commands_call():
+    # The tracer resolves cli's solver bindings with getattr, which
+    # loads their modules, and installs its wrappers with setattr; the
+    # solve commands call whatever cli binds, so the spans are recorded.
+    import fdplace.cli
+    import fdplace.single
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = tracer.Tracer()
+    with traced.installed(tracer.REQUEST_WRAPS):
+        assert fdplace.cli.main(["solve-single", TWO_ROWS, "--rho", "3"]) == 0
+        assert fdplace.cli.main(["solve-multi", SHARED, "--sizes", "3,3,2"]) == 0
+    names = {span[0] for span in traced.spans}
+    assert {"single.solve_fast", "multi.solve"} <= names
+    assert fdplace.cli.solve_fast is fdplace.single.solve_fast
+
+
+@pytest.mark.parametrize("algorithm", ["basic", "fast", "greedy"])
+def test_solve_single_calls_the_cli_binding_of_its_algorithm(algorithm, monkeypatch, capsys):
+    import fdplace.cli
+
+    name = f"solve_{algorithm}"
+    real, calls = getattr(fdplace.cli, name), []
+
+    def spy(model, rho):
+        calls.append(rho)
+        return real(model, rho)
+
+    monkeypatch.setattr(fdplace.cli, name, spy)
+    assert fdplace.cli.main(["solve-single", TWO_ROWS, "--rho", "3", "--algorithm", algorithm]) == 0
+    assert calls == [3]
+    assert json.loads(capsys.readouterr().out)["algorithm"] == algorithm
 
 
 def test_unknown_names_raise_attribute_error():
