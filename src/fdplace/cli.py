@@ -47,12 +47,6 @@ def __getattr__(name: str) -> object:
     return value
 
 
-def _solver(name: str) -> Callable:
-    """This module's binding of a solver, loading its module first if
-    nothing has read it yet."""
-    return globals().get(name) or __getattr__(name)
-
-
 def _read(path: str, what: str) -> tuple[str, str]:
     """The text of a file and the sha256 of its bytes; what names it in
     a refusal. The bytes live only in this call: they are hashed, then
@@ -115,22 +109,25 @@ def _run(args: argparse.Namespace, solve: Solve) -> int:
 
 
 def _cmd_solve_single(args: argparse.Namespace) -> int:
-    solve = _solver(f"solve_{args.algorithm}")
+    solve = getattr(sys.modules[__name__], f"solve_{args.algorithm}")
     return _run(args, lambda model: solve(model, args.rho))
 
 
 def _cmd_solve_multi(args: argparse.Namespace) -> int:
-    solve = _solver("solve_multi")
+    solve = getattr(sys.modules[__name__], "solve_multi")
     return _run(args, lambda model: solve(model, _parse_sizes(args.sizes), skew=args.skew))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    # The flags are checked before the model is read; the placement file
+    # is read after it, so a bad model wins over a bad placement.
+    if (args.placement is None) == (args.blocks is None):
+        raise ModelError("eval needs exactly one of --placement or --blocks")
+    if args.blocks is not None and args.rho is not None:
+        raise ModelError("--rho applies only to --placement")
+
     def solve(model: FailureModel) -> tuple[FailureAggregate, Found]:
-        if (args.placement is None) == (args.blocks is None):
-            raise ModelError("eval needs exactly one of --placement or --blocks")
         if args.placement is None:
-            if args.rho is not None:
-                raise ModelError("--rho applies only to --placement")
             found = parse_multi_placement(_read(args.blocks, "file")[0])
             return multi_aggregate(model, found), found
         found = parse_placement(_read(args.placement, "file")[0])
@@ -247,22 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each refusal type.
+EXIT_CODES = {ModelError: 2, InfeasibleError: 3, GuardLimitError: 3, SkewOverrideError: 4}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SkewOverrideError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InfeasibleError, GuardLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:
+        # Tested first: its clause allocates nothing, while tuple(EXIT_CODES)
+        # can fail for want of memory.
         pass
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CODES[type(exc)]
     # Reported after the handler, once the traceback no longer keeps the
     # failed request's data alive.
     print("error: out of memory", file=sys.stderr)

@@ -73,13 +73,6 @@ class _Lazy:
         return getattr(tree, self.name)
 
 
-def _child_index(parent: list[int], counts: list[int]) -> tuple[list[int], list[int]]:
-    """first and kids from the parent links and the child counts, n
-    included: each node's children, in file order, form one run of
-    kids."""
-    return list(accumulate(counts, initial=0)), sorted(range(len(parent)), key=parent.__getitem__)
-
-
 class Tree:
     """The compiled model. Node i is the i-th node in file order; node
     n = root is a virtual root whose children are the model's roots, so
@@ -89,13 +82,13 @@ class Tree:
     each after all of its descendants.
 
     first and kids are built together the first time one of them is
-    read, unless parsing had to build them to order the nodes (see
-    _compile); eval never reads them. The three subtree summaries, per
-    node, n included, are computed by one pass over bottom_up the first
-    time one of them is read: leaf_count counts its subtree's leaves;
-    its shallowest leaf is min_depth_leaf (first in child order on
-    ties), min_rel_depth below it. leaf_total, the number of leaves,
-    needs no such pass.
+    read, by parsing itself when it has to walk the tree to order the
+    nodes (see _compile); eval never reads them. The three subtree
+    summaries, per node, n included, are computed by one pass over
+    bottom_up the first time one of them is read: leaf_count counts its
+    subtree's leaves; its shallowest leaf is min_depth_leaf (first in
+    child order on ties), min_rel_depth below it. leaf_total, the number
+    of leaves, needs no such pass.
     """
 
     def __init__(
@@ -106,7 +99,6 @@ class Tree:
         capacity: list[int],
         bottom_up: Sequence[int],
         leaf_total: int,
-        child_index: tuple[list[int], list[int]] | None = None,
     ) -> None:
         self.ids = ids
         self.index = index
@@ -114,8 +106,6 @@ class Tree:
         self.capacity = capacity
         self.bottom_up = bottom_up
         self.leaf_total = leaf_total
-        if child_index is not None:
-            self.first, self.kids = child_index
 
     @property
     def root(self) -> int:
@@ -128,10 +118,12 @@ class Tree:
     min_depth_leaf = _Lazy("_summarize")
 
     def _index(self) -> None:
+        # Each node's children, in file order, form one run of kids.
         counts = [0] * (len(self.ids) + 1)
         for p in self.parent:
             counts[p] += 1
-        self.first, self.kids = _child_index(self.parent, counts)
+        self.first = list(accumulate(counts, initial=0))
+        self.kids = sorted(range(len(self.ids)), key=self.parent.__getitem__)
 
     def _summarize(self) -> None:
         n, parent = len(self.ids), self.parent
@@ -198,12 +190,13 @@ def _compile(ids: list[str], index: dict[str, int], parents: list, capacity: lis
     # Reverse file order is bottom up when every parent precedes its
     # children, as in every generated or rendered file; then parent
     # links cannot cycle either, and the child index waits for its
-    # first read. Otherwise a walk from the roots, which needs the
+    # first read. Otherwise a walk from the roots, which reads the
     # index, orders the nodes, and whatever it cannot reach lies on a
     # parent cycle.
+    tree = Tree(ids, index, parent, capacity, range(n - 1, -1, -1), leaf_total)
     if sum(map(lt, parent, range(n))) == n - counts[n]:
-        return Tree(ids, index, parent, capacity, range(n - 1, -1, -1), leaf_total)
-    first, kids = child_index = _child_index(parent, counts)
+        return tree
+    first, kids = tree.first, tree.kids
     order: list[int] = []
     stack = kids[first[n] :][::-1]
     while stack:
@@ -213,7 +206,8 @@ def _compile(ids: list[str], index: dict[str, int], parents: list, capacity: lis
     if len(order) != n:
         raise ModelError("model contains a parent cycle unreachable from any root")
     order.reverse()
-    return Tree(ids, index, parent, capacity, order, leaf_total, child_index)
+    tree.bottom_up = order
+    return tree
 
 
 class FailureModel:

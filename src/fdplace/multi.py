@@ -46,8 +46,8 @@ layouts enumerates plainly, with no cut: every layout with the pair's
 margins in lexicographic order, its merged census tallied and the
 window tested once the layout is finished.
 
-build_phi tabulates layouts, without a target, over every census pair,
-for checking the kernel against brute force.
+build_phi tabulates layouts over every census pair, for checking the
+kernel against brute force.
 """
 
 from __future__ import annotations
@@ -70,8 +70,10 @@ Support = tuple[tuple[int, int, int], ...]
 
 class MergeKernel:
     """Census splits of m blocks at girth rho under the skew bound
-    delta, enumerated per (left, right) census pair on first use and,
-    given the requested sizes, kept only where they fit that target.
+    delta, enumerated per (left, right) census pair on first use and
+    kept only where they fit the target, the requested sizes. The target
+    (rho,) * m keeps every census of m blocks: each of its parts is at
+    most rho.
 
     Censuses are interned by their packed form, the vector as one int
     with `bits` bits a digit, entry 0 most significant, so int order is
@@ -80,11 +82,11 @@ class MergeKernel:
     parts holding rho - i replicas with right parts holding rho - j.
     """
 
-    def __init__(self, rho: int, delta: int, bits: int, sizes: Vector = ()) -> None:
+    def __init__(self, rho: int, delta: int, bits: int, sizes: Vector) -> None:
         self.rho = rho
         self.delta = delta
         self.bits = bits
-        # The target's parts, largest first; with no sizes every census fits.
+        # The target's parts, largest first.
         self.bound = tuple(sorted(sizes, reverse=True))
         self.limit = sum(sizes)
         self.ids: dict[int, int] = {}
@@ -236,7 +238,7 @@ class MergeKernel:
         i + j - rho, so (right, left) shares the list; layouts, whose cell
         order the walk down reads, does not."""
         out: list[int] = []
-        if not self.bound or self.total[left] + self.total[right] <= self.limit:
+        if self.total[left] + self.total[right] <= self.limit:
             ids, fits = self.ids, self.fits
             for key in self.censuses(left, right):
                 sid = ids.get(key)
@@ -273,7 +275,7 @@ def build_phi(m: int, rho: int, delta: int) -> PhiTable:
         raise ValueError(f"m must be at least 1, got {m}")
     if not 1 <= delta <= rho:
         raise ValueError(f"delta must be in [1, {rho}], got {delta}")
-    kernel = MergeKernel(rho, delta, m.bit_length())
+    kernel = MergeKernel(rho, delta, m.bit_length(), (rho,) * m)
     domain = [kernel.intern(vec) for vec in _signature_domain(m, rho, delta)]
     pairs: dict[Vector, set[tuple[Vector, Vector]]] = defaultdict(set)
     supports: dict[tuple[Vector, Vector, Vector], set[Support]] = defaultdict(set)

@@ -3,17 +3,15 @@
 These enumerate every candidate placement, so they are the ground truth
 the real solvers are tested against. Both refuse to run when the search
 space exceeds a guard bound (default one million candidates, overridable
-via the FDPLACE_ORACLE_GUARD environment variable or the guard argument).
-The guard counts candidate placements, not the root-path steps each one
-costs, so a deep chain with few candidates passes it and still runs for
-a long time: a 50,000-domain caterpillar at rho 1 is 50,000 candidates
-but about 1.25e9 steps.
+through the guard argument). The guard counts candidate placements, not
+the root-path steps each one costs, so a deep chain with few candidates
+passes it and still runs for a long time: a 50,000-domain caterpillar
+at rho 1 is 50,000 candidates but about 1.25e9 steps.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
@@ -29,19 +27,12 @@ DEFAULT_GUARD = 1_000_000
 
 def _check_guard(space: int, guard: int | None) -> None:
     """Refuse a search space of more candidates than the guard: the guard
-    argument, else FDPLACE_ORACLE_GUARD, else the default. The argument
-    must be an int, the variable an integer string, and either positive."""
-    source, raw = "guard", guard
+    argument, else the default. The argument must be a positive int."""
     if guard is None:
-        source = "FDPLACE_ORACLE_GUARD"
-        raw = os.environ.get(source, str(DEFAULT_GUARD))
-        try:
-            guard = int(raw)
-        except ValueError as exc:
-            raise GuardLimitError(f"{source} is not an integer: {raw!r}") from exc
+        guard = DEFAULT_GUARD
     _check_int("guard", guard)
     if guard < 1:
-        raise GuardLimitError(f"{source} must be positive: {raw!r}")
+        raise GuardLimitError(f"guard must be positive: {guard!r}")
     if space > guard:
         raise GuardLimitError(f"search space {space} exceeds guard {guard}")
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections.abc import Callable
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,23 @@ def test_eval_blocks(capsys):
     assert len(report["witness"]["blocks"]) == 3
 
 
+@pytest.mark.parametrize(
+    ("options", "line"),
+    [
+        ((), "error: eval needs exactly one of --placement or --blocks"),
+        (("--blocks", "unused.json", "--rho", "3"), "error: --rho applies only to --placement"),
+    ],
+    ids=["no flag", "blocks with rho"],
+)
+def test_eval_checks_its_flags_before_the_model(capsys, tmp_path, options, line):
+    # A usage error needs no parse: it wins over a model that would not
+    # parse, while a bad model still wins over an unreadable placement
+    # (test_bad_model_file_exits_2).
+    path = tmp_path / "broken.json"
+    path.write_bytes(b"{not json")
+    assert run_cli(capsys, "eval", str(path), *options) == (2, "", line + "\n")
+
+
 def test_eval_argument_combinations(capsys):
     model = fixture_path("two_rows.json")
     code, _out, err = run_cli(capsys, "eval", model)
@@ -224,15 +242,23 @@ def test_infeasible_requests_exit_3(capsys):
             assert run_cli(capsys, oracle, model, request, value) == solved
 
 
-def test_oracle_guard_exits_3(capsys, monkeypatch):
+def test_oracle_guard_exits_3(capsys):
     model = fixture_path("two_rows.json")
     code, _out, err = run_cli(
         capsys, "oracle-single", model, "--rho", "3", "--guard", "1"
     )
     assert code == 3 and "error:" in err
+
+
+def test_no_module_reads_the_environment(capsys, monkeypatch):
+    # The guard comes from --guard or guard= alone: no source file reads
+    # the environment, and a guard variable set there changes nothing.
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "os.environ" not in text and "getenv" not in text, path.name
     monkeypatch.setenv("FDPLACE_ORACLE_GUARD", "1")
-    code, _out, _err = run_cli(capsys, "oracle-single", model, "--rho", "3")
-    assert code == 3
+    code, out, _err = run_cli(capsys, "oracle-single", fixture_path("two_rows.json"), "--rho", "3")
+    assert code == 0 and json.loads(out)["objective"] == [0, 1, 7, 7]
 
 
 # The exit code main gives each refusal type.

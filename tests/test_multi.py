@@ -417,7 +417,7 @@ def test_pruned_kernel_keeps_exactly_the_merges_that_fit():
         natural = target_signature(sizes)[1]
         rho, m = max(sizes), len(sizes)
         delta = min(natural + rng.randint(0, 2), rho)
-        full = MergeKernel(rho, delta, 8)
+        full = MergeKernel(rho, delta, 8, (rho,) * m)
         pruned = MergeKernel(rho, delta, 8, sizes)
         domain = _signature_domain(m, rho, delta)
         for lvec in domain:
@@ -436,7 +436,8 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
     # must be its smallest, so layouts must come sorted. censuses, which
     # the up pass enumerates instead and which shares no cut with
     # layouts, gives exactly their merged censuses, packed, and merges
-    # keeps those that fit the target: with no target, all of them.
+    # keeps those that fit the target: with the target (rho,) * m, all
+    # of them.
     # A layout transposed is a layout of the reversed pair with the same
     # merged census, so censuses gives the same set both ways and merges
     # caches one list for both. The pairs: every pair of window censuses
@@ -456,7 +457,7 @@ def test_kernel_layouts_come_smallest_first(monkeypatch):
     for m in range(1, 5):
         for rho in range(1, 5):
             for delta in range(1, rho + 1):
-                kernel = MergeKernel(rho, delta, 8)
+                kernel = MergeKernel(rho, delta, 8, (rho,) * m)
                 domain = [kernel.intern(vec) for vec in _signature_domain(m, rho, delta)]
                 for left in domain:
                     for right in domain:

@@ -68,18 +68,6 @@ def test_guard_must_be_an_int(two_rows, oracle, guard):
         oracle(two_rows, guard)
 
 
-def test_guard_env_override(two_rows, monkeypatch):
-    monkeypatch.setenv("FDPLACE_ORACLE_GUARD", "5")
-    with pytest.raises(GuardLimitError):
-        oracle_single(two_rows, 4)
-    monkeypatch.setenv("FDPLACE_ORACLE_GUARD", "100000")
-    agg, _ = oracle_single(two_rows, 4)
-    assert sum(agg.entries) == 15
-    monkeypatch.setenv("FDPLACE_ORACLE_GUARD", "zero")
-    with pytest.raises(GuardLimitError):
-        oracle_single(two_rows, 3)
-
-
 def test_oracles_keep_no_table_of_root_paths():
     # A 600-domain caterpillar, one server per domain: a table of every
     # leaf's root path would hold 180,000 entries, about 1.7 MB traced.

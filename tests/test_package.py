@@ -233,7 +233,7 @@ def test_unused_accessors_are_gone():
     assert not hasattr(single, "_leaves_below")
     assert not hasattr(multi, "enum_weak_compositions")
     assert list(inspect.signature(postorder).parameters) == ["model"]
-    kernel = MergeKernel(2, 1, 8)
+    kernel = MergeKernel(2, 1, 8, (2,))
     for name in ("support", "merged", "_supports", "_grid"):
         assert not hasattr(kernel, name), name
     assert not hasattr(multi, "Grid")
@@ -270,3 +270,16 @@ def test_bulk_entry_checks_are_gone():
     for path in sorted((ROOT / "src" / "fdplace").glob("*.py")):
         text = path.read_text()
         assert not any(name in text for name in names), path.name
+
+
+def test_options_no_caller_needs_are_gone():
+    # The merge kernel always has a target, the tree builds its child
+    # index itself, and the CLI reads its solvers through its own module
+    # (test_no_module_reads_the_environment covers the oracle guard).
+    from fdplace import cli, model
+
+    assert not hasattr(cli, "_solver")
+    assert not hasattr(model, "_child_index")
+    assert "child_index" not in inspect.signature(Tree).parameters
+    sizes = inspect.signature(MergeKernel).parameters["sizes"]
+    assert sizes.default is inspect.Parameter.empty
