@@ -8,12 +8,18 @@ safer.
 
 The module holds the value types (FailureAggregate, Placement,
 MultiPlacement), the placement parsers, the two evaluators,
-failure_aggregate and multi_aggregate, and every rho rule: _check_int
-(rho, block sizes, a skew and an oracle guard are ints), _check_rho
-(the solvers' and oracle_single's bounds, at least 1 and at most the
-leaf count), _check_girth (an evaluated rho holds the placement) and
-failure_aggregate's leaf bound, tested once the placement's leaves
-resolve and before its rho + 1 entries are allocated.
+failure_aggregate and multi_aggregate, and every request rule. For
+rho: _check_int (rho, block sizes, a skew and an oracle guard are
+ints), _check_rho (the solvers' and oracle_single's bounds, at least 1
+and at most the leaf count), _check_girth (an evaluated rho holds the
+placement) and failure_aggregate's leaf bound, tested once the
+placement's leaves resolve and before its rho + 1 entries are
+allocated. For a size list: _natural_skew, its one check, and
+_check_fit, the leaf bound and the Gale-Ryser test, both shared by
+solve_multi and oracle_multi. It also holds the maps between leaf ids
+and node indices that solvers and oracles share: _leaf_indices,
+_leaves_by_id (the id order) and _placement. So the solver modules and
+the oracles import from here and never from one another.
 multi.target_signature maps block sizes to their census. The paper's
 lemma helpers (failure numbers, path aggregates, sub-signatures and the
 Signature census they return) live with the tests that use them, in
@@ -23,7 +29,7 @@ tests/lemmas.py.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 
 from .errors import InfeasibleError, ModelError
 # postorder is not called here, but bench/tracer.py wraps this binding.
@@ -108,6 +114,17 @@ def _leaf_indices(tree: Tree, leaves: Collection[str]) -> list[int]:
     return out
 
 
+def _leaves_by_id(tree: Tree) -> list[int]:
+    """The leaves' node indices, sorted by id: the order in which
+    solve_greedy breaks ties and the oracles enumerate subsets."""
+    return sorted((u for u, c in enumerate(tree.capacity) if c), key=tree.ids.__getitem__)
+
+
+def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:
+    ids = tree.ids
+    return Placement(leaves=frozenset([ids[u] for u in leaves]))
+
+
 def _counts(tree: Tree, leaves: list[int]) -> dict[int, int]:
     """The failure number of every node that has one: each placed leaf
     counts once on every node from itself up to its root."""
@@ -139,6 +156,43 @@ def _check_rho(tree: Tree, rho: int) -> None:
         raise InfeasibleError(f"rho must be at least 1, got {rho}")
     if rho > tree.leaf_total:
         raise InfeasibleError(f"rho={rho} exceeds the {tree.leaf_total} available leaves")
+
+
+def _natural_skew(sizes: tuple[int, ...]) -> int:
+    """The size spread, but at least 1, after the one check of a size
+    list: it must be non-empty, and every entry an int of at least 1."""
+    if not sizes:
+        raise InfeasibleError("no block sizes given")
+    for s in sizes:
+        _check_int("block size", s)
+    if min(sizes) < 1:
+        raise InfeasibleError("every block size must be at least 1")
+    return max(max(sizes) - min(sizes), 1)
+
+
+def _check_fit(tree: Tree, sizes: tuple[int, ...]) -> None:
+    """Refuse a block above the leaf count, then a request that fails
+    the Gale-Ryser test: a leaf holds at most one replica of a block, so
+    for every k the k largest blocks need at most the sum over leaves
+    of min(capacity, k) replicas."""
+    if max(sizes) > tree.leaf_total:
+        raise InfeasibleError(
+            f"block size {max(sizes)} exceeds the {tree.leaf_total} available leaves"
+        )
+    # ample: the leaves of capacity k or more, so that room grows by
+    # ample from the sum for k - 1 to the sum for k.
+    counts = Counter(tree.capacity)
+    need = room = 0
+    ample = tree.leaf_total
+    for k, size in enumerate(sorted(sizes, reverse=True), 1):
+        need += size
+        room += ample
+        if need > room:
+            raise InfeasibleError(
+                f"the {k} largest blocks need {need} replicas, but at one replica"
+                f" of a block per leaf the leaves hold at most {room}"
+            )
+        ample -= counts[k]
 
 
 def _check_girth(placement: Placement, rho: int) -> None:

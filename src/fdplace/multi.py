@@ -3,9 +3,11 @@
 Block-size censuses (signatures) index sizes from the girth down, the
 same way aggregates index failure counts. The solver restricts every
 subtree's census to a window of delta + 1 adjacent size classes and
-solves in two passes. _natural_skew is the one check of a requested
-size list, which solve_multi, oracle_multi and target_signature share,
-and target_signature the one map from sizes to the target census.
+solves in two passes. metrics._natural_skew is the one check of a
+requested size list, which solve_multi, oracle_multi and
+target_signature share, metrics._check_fit refuses sizes the leaves
+cannot hold, and target_signature is the one map from sizes to the
+target census.
 
 Up, a dynamic program over (node, census) states merges children one
 at a time. A merge looks only at the (left, right) census pairs present
@@ -58,10 +60,10 @@ from itertools import chain, combinations_with_replacement
 from operator import add
 
 from .errors import InfeasibleError, SkewOverrideError
-from .metrics import FailureAggregate, MultiPlacement, _check_int
+from .metrics import FailureAggregate, MultiPlacement, _check_fit, _check_int, _natural_skew
 # postorder and subtree_stats are not called here, but bench/tracer.py
 # wraps these bindings.
-from .model import FailureModel, Tree, postorder, subtree_stats  # noqa: F401
+from .model import FailureModel, postorder, subtree_stats  # noqa: F401
 from .value import Value
 
 Vector = tuple[int, ...]
@@ -286,43 +288,6 @@ def build_phi(m: int, rho: int, delta: int) -> PhiTable:
                 pairs[sig].add(split)
                 supports[(sig, *split)].add(layout)
     return PhiTable(m=m, rho=rho, delta=delta, pairs=dict(pairs), supports=dict(supports))
-
-
-def _natural_skew(sizes: tuple[int, ...]) -> int:
-    """The size spread, but at least 1, after the one check of a size
-    list: it must be non-empty, and every entry an int of at least 1."""
-    if not sizes:
-        raise InfeasibleError("no block sizes given")
-    for s in sizes:
-        _check_int("block size", s)
-    if min(sizes) < 1:
-        raise InfeasibleError("every block size must be at least 1")
-    return max(max(sizes) - min(sizes), 1)
-
-
-def _check_fit(tree: Tree, sizes: tuple[int, ...]) -> None:
-    """Refuse a block above the leaf count, then a request that fails
-    the Gale-Ryser test: a leaf holds at most one replica of a block, so
-    for every k the k largest blocks need at most the sum over leaves
-    of min(capacity, k) replicas."""
-    if max(sizes) > tree.leaf_total:
-        raise InfeasibleError(
-            f"block size {max(sizes)} exceeds the {tree.leaf_total} available leaves"
-        )
-    # ample: the leaves of capacity k or more, so that room grows by
-    # ample from the sum for k - 1 to the sum for k.
-    counts = Counter(tree.capacity)
-    need = room = 0
-    ample = tree.leaf_total
-    for k, size in enumerate(sorted(sizes, reverse=True), 1):
-        need += size
-        room += ample
-        if need > room:
-            raise InfeasibleError(
-                f"the {k} largest blocks need {need} replicas, but at one replica"
-                f" of a block per leaf the leaves hold at most {room}"
-            )
-        ample -= counts[k]
 
 
 def target_signature(sizes: list[int] | tuple[int, ...]) -> tuple[Vector, int]:

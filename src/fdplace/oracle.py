@@ -7,6 +7,10 @@ through the guard argument). The guard counts candidate placements, not
 the root-path steps each one costs, so a deep chain with few candidates
 passes it and still runs for a long time: a 50,000-domain caterpillar
 at rho 1 is 50,000 candidates but about 1.25e9 steps.
+
+The oracles share their request rules and leaf orders with the solvers
+through metrics, and import no solver module, so they check the
+solvers without running their code.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .errors import GuardLimitError, InfeasibleError
-from .metrics import FailureAggregate, MultiPlacement, Placement
-from .metrics import _check_int, _check_rho, _counts, _leaf_indices
+from .metrics import FailureAggregate, MultiPlacement, Placement, _check_fit, _check_int
+from .metrics import _check_rho, _counts, _leaf_indices, _leaves_by_id, _natural_skew, _placement
 from .model import FailureModel, Tree
 from .value import Value
 
@@ -45,9 +49,6 @@ def oracle_single(
     Returns the optimal aggregate together with every placement that
     achieves it, in lexicographic order of the sorted leaf-id tuples.
     """
-    # Imported here, so check_balanced loads no solver module.
-    from .single import _leaves_by_id, _placement
-
     tree = model.tree
     _check_rho(tree, rho)
     leaves = _leaves_by_id(tree)
@@ -119,9 +120,6 @@ def oracle_multi(
     largest size first, subsets in lexicographic order, equal-size
     blocks in non-decreasing subset order).
     """
-    from .multi import _check_fit, _natural_skew
-    from .single import _leaves_by_id
-
     sizes = tuple(sizes)
     _natural_skew(sizes)  # refuses the sizes solve_multi refuses
     tree = model.tree

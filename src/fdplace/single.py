@@ -69,14 +69,16 @@ computes them in one pass the first time a solver reads one, so only
 the first solve on a model prepares anything. In solve_fast, one walk
 of a filled subtree gives both its aggregate and its leaves, and
 failure number 0 is counted once, at the root, as the nodes not
-counted elsewhere. Ids appear only in the returned placement.
+counted elsewhere. Ids appear only in the returned placement, which
+metrics._placement builds. solve_greedy takes its tie order, the
+leaves by id, from metrics._leaves_by_id, as the oracles do.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Sequence
 from .errors import InfeasibleError, ModelError
-from .metrics import FailureAggregate, Placement, _check_rho
+from .metrics import FailureAggregate, Placement, _check_rho, _leaves_by_id, _placement
 # postorder is not called here, but bench/tracer.py wraps this binding.
 from .model import FailureModel, Tree, postorder  # noqa: F401
 
@@ -177,11 +179,6 @@ def _fill(hists: Sequence[list[int]], tree: Tree, filled: Sequence[int], out: li
     for hist in hists:
         for f in numbers:
             hist[f] += 1
-
-
-def _placement(tree: Tree, leaves: Iterable[int]) -> Placement:
-    ids = tree.ids
-    return Placement(leaves=frozenset([ids[u] for u in leaves]))
 
 
 def solve_basic(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:
@@ -468,12 +465,6 @@ def solve_fast(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placeme
     root = hists[top][0]
     root[0] = len(tree.ids) - sum(root)
     return FailureAggregate(entries=tuple(reversed(root)), rho=rho), _placement(tree, out)
-
-
-def _leaves_by_id(tree: Tree) -> list[int]:
-    """The leaves' node indices, sorted by id: the order in which
-    solve_greedy breaks ties and the oracles enumerate subsets."""
-    return sorted((u for u, c in enumerate(tree.capacity) if c), key=tree.ids.__getitem__)
 
 
 def solve_greedy(model: FailureModel, rho: int) -> tuple[FailureAggregate, Placement]:

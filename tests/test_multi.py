@@ -239,10 +239,6 @@ def test_skew_must_be_an_int(shared_tree, skew):
 
 
 def test_solve_multi_infeasible_cases(shared_tree):
-    with pytest.raises(InfeasibleError):
-        solve_multi(shared_tree, (6, 6, 6, 6))
-    with pytest.raises(InfeasibleError):
-        solve_multi(shared_tree, (7,))
     model = parse_model(
         json.dumps(
             {
@@ -254,10 +250,17 @@ def test_solve_multi_infeasible_cases(shared_tree):
             }
         )
     )
-    # Both blocks need both leaves, so the small one would be reused
-    # past its capacity; totals alone do not reveal that.
-    with pytest.raises(InfeasibleError):
-        solve_multi(model, (2, 2))
+    # On model both blocks need both leaves, so the small one would be
+    # reused past its capacity; totals alone do not reveal that.
+    # oracle_multi shares solve_multi's fit check, so it refuses each
+    # request with the same message.
+    for fm, sizes in [(shared_tree, (6, 6, 6, 6)), (shared_tree, (7,)), (model, (2, 2))]:
+        refusals = []
+        for call in (solve_multi, oracle_multi):
+            with pytest.raises(InfeasibleError) as info:
+                call(fm, sizes)
+            refusals.append(str(info.value))
+        assert refusals[0] == refusals[1], refusals
 
 
 def test_sizes_fit_on_small_cases():

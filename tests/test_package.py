@@ -128,7 +128,7 @@ def test_import_footprint():
     got = json.loads(out)
     # A bare import loads no solver module, and the CLI neither a
     # solver, the oracles, the generator nor dataclasses. The oracle
-    # module loads no solver either: check_balanced needs none.
+    # module loads no solver either: it shares only metrics with them.
     assert {m for m in got["root"] if m.startswith("fdplace")} == {"fdplace", "fdplace.errors"}
     for module in ("dataclasses", "fdplace.single", "fdplace.multi", "fdplace.oracle", "fdplace.generate"):
         assert module not in got["cli"], module
@@ -166,6 +166,8 @@ TWO_ROWS, SHARED = str(FIXTURES / "two_rows.json"), str(FIXTURES / "shared_tree.
         (["solve-single", TWO_ROWS, "--rho", "3", "--algorithm", "basic"], ["fdplace.single"]),
         (["solve-single", TWO_ROWS, "--rho", "3", "--algorithm", "greedy"], ["fdplace.single"]),
         (["solve-multi", SHARED, "--sizes", "3,3,2"], ["fdplace.multi"]),
+        (["oracle-single", SHARED, "--rho", "2"], ["fdplace.oracle"]),
+        (["oracle-multi", SHARED, "--sizes", "2,1"], ["fdplace.oracle"]),
     ],
 )
 def test_each_command_loads_only_the_solver_it_runs(argv, loaded):

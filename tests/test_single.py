@@ -789,7 +789,7 @@ def _deep_shapes():
 
 def test_basic_matches_fast_on_deep_shapes():
     # solve_greedy is left out: on a 50,000-deep caterpillar it gives no
-    # result in 300 s (ROADMAP item 1).
+    # result in 300 s (ROADMAP item 4).
     for model in _deep_shapes():
         for rho in (1, 8, 64):
             agg, placement = solve_basic(model, rho)
